@@ -13,8 +13,9 @@
 //! * [`Logistic`] — logistic regression trained by SGD.
 //! * [`Cart`] — a CART decision tree (Gini impurity).
 //!
-//! The learned models consume the same [`SessionFeatures`] vector as
-//! Arcane, train on a labelled log (the generator provides ground truth)
+//! The learned models consume the same
+//! [`SessionFeatures`](crate::SessionFeatures) vector as Arcane, train on
+//! a labelled log (the generator provides ground truth)
 //! and classify **per request**, so their output is comparable to the two
 //! main tools in every experiment.
 
@@ -30,11 +31,11 @@ pub use naive_bayes::NaiveBayes;
 pub use rate_limiter::RateLimiter;
 pub use signature_only::SignatureOnly;
 
-use divscrape_httplog::LogEntry;
+use divscrape_httplog::{EntryRef, EntryView, LogEntry};
 use divscrape_traffic::LabelledLog;
 
-use crate::session::{SessionFeatures, Sessionizer, SessionizerConfig};
-use crate::{Detector, Verdict};
+use crate::session::{Sessionizer, SessionizerConfig};
+use crate::{ClientKey, Detector, Verdict};
 
 /// Dimensionality of the session feature vector.
 pub const FEATURE_DIM: usize = 14;
@@ -145,6 +146,26 @@ impl<M: SessionModel> SessionModelDetector<M> {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
+
+    /// The per-entry step with the client key precomputed: fold the entry
+    /// into its session and score the session's features.
+    fn observe_keyed<E: EntryView>(&mut self, key: ClientKey, entry: &E) -> Verdict {
+        let features = self.sessions.observe_with_key(key, entry);
+        let enough = features.requests >= self.min_requests;
+        let score = self.model.score(&features.feature_vector());
+        Verdict::new(enough && score >= self.threshold, score as f32)
+    }
+
+    /// The shared hot path, generic over owned and borrowed entries.
+    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
+        out.reserve(entries.len());
+        for run in crate::detector::client_runs(entries) {
+            // One key hash per client run; the sessionizer and model still
+            // see every entry.
+            let key = run[0].client_key();
+            out.extend(run.iter().map(|entry| self.observe_keyed(key, entry)));
+        }
+    }
 }
 
 impl<M: SessionModel> Detector for SessionModelDetector<M> {
@@ -153,28 +174,15 @@ impl<M: SessionModel> Detector for SessionModelDetector<M> {
     }
 
     fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        let features: &SessionFeatures = self.sessions.observe(entry);
-        let enough = features.requests >= self.min_requests;
-        let score = self.model.score(&features.feature_vector());
-        Verdict::new(enough && score >= self.threshold, score as f32)
+        self.observe_keyed(entry.client_key(), entry)
     }
 
     fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        out.reserve(entries.len());
-        for run in crate::detector::client_runs(entries) {
-            // One key hash per client run; the sessionizer and model still
-            // see every entry.
-            let key = run[0].client_key();
-            for entry in run {
-                let features = self.sessions.observe_with_key(key, entry);
-                let enough = features.requests >= self.min_requests;
-                let score = self.model.score(&features.feature_vector());
-                out.push(Verdict::new(
-                    enough && score >= self.threshold,
-                    score as f32,
-                ));
-            }
-        }
+        self.batch_core(entries, out);
+    }
+
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
+        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {

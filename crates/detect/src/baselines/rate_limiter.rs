@@ -2,10 +2,10 @@
 
 use std::collections::VecDeque;
 
-use divscrape_httplog::LogEntry;
+use divscrape_httplog::{EntryRef, EntryView, LogEntry};
 
 use crate::evict::{ClientStateTable, EvictionConfig, EvictionStats};
-use crate::{Detector, Verdict};
+use crate::{ClientKey, Detector, Verdict};
 
 /// Alerts whenever a client exceeds a fixed request rate.
 ///
@@ -37,6 +37,38 @@ impl RateLimiter {
     pub fn threshold(&self) -> u32 {
         self.threshold_per_min
     }
+
+    /// The per-entry step with the client key precomputed.
+    fn observe_keyed(&mut self, key: ClientKey, ts: i64) -> Verdict {
+        let (window, _) = self.windows.upsert_with(key, ts, VecDeque::new);
+        slide_and_score(window, ts, self.threshold_per_min)
+    }
+
+    /// The shared hot path, generic over owned and borrowed entries.
+    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
+        out.reserve(entries.len());
+        let evicting = !self.windows.config().is_disabled();
+        for run in crate::detector::client_runs(entries) {
+            // One key hash per client run; with eviction off, one window
+            // lookup per run is exact (the table is a plain map then).
+            let key = run[0].client_key();
+            if evicting {
+                // Under eviction, touch the table per entry so mid-run
+                // idle gaps expire state exactly as in the per-entry path.
+                out.extend(
+                    run.iter()
+                        .map(|entry| self.observe_keyed(key, entry.epoch_seconds())),
+                );
+                continue;
+            }
+            let ts0 = run[0].epoch_seconds();
+            let (window, _) = self.windows.upsert_with(key, ts0, VecDeque::new);
+            for entry in run {
+                let ts = entry.epoch_seconds();
+                out.push(slide_and_score(window, ts, self.threshold_per_min));
+            }
+        }
+    }
 }
 
 impl Default for RateLimiter {
@@ -52,37 +84,15 @@ impl Detector for RateLimiter {
     }
 
     fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        let ts = entry.timestamp().epoch_seconds();
-        let (window, _) = self
-            .windows
-            .upsert_with(entry.client_key(), ts, VecDeque::new);
-        slide_and_score(window, ts, self.threshold_per_min)
+        self.observe_keyed(entry.client_key(), entry.timestamp().epoch_seconds())
     }
 
     fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        out.reserve(entries.len());
-        let evicting = !self.windows.config().is_disabled();
-        for run in crate::detector::client_runs(entries) {
-            // One key hash per client run; with eviction off, one window
-            // lookup per run is exact (the table is a plain map then).
-            let key = run[0].client_key();
-            if evicting {
-                // Under eviction, touch the table per entry so mid-run
-                // idle gaps expire state exactly as in the per-entry path.
-                for entry in run {
-                    let ts = entry.timestamp().epoch_seconds();
-                    let (window, _) = self.windows.upsert_with(key, ts, VecDeque::new);
-                    out.push(slide_and_score(window, ts, self.threshold_per_min));
-                }
-                continue;
-            }
-            let ts0 = run[0].timestamp().epoch_seconds();
-            let (window, _) = self.windows.upsert_with(key, ts0, VecDeque::new);
-            for entry in run {
-                let ts = entry.timestamp().epoch_seconds();
-                out.push(slide_and_score(window, ts, self.threshold_per_min));
-            }
-        }
+        self.batch_core(entries, out);
+    }
+
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
+        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {

@@ -1,6 +1,6 @@
 //! The signature-only baseline.
 
-use divscrape_httplog::LogEntry;
+use divscrape_httplog::{EntryRef, EntryView, LogEntry};
 
 use crate::sentinel::SignatureEngine;
 use crate::{Detector, Verdict};
@@ -27,6 +27,25 @@ impl SignatureOnly {
     pub fn with_engine(engine: SignatureEngine) -> Self {
         Self { engine }
     }
+
+    /// The shared hot path, generic over owned and borrowed entries.
+    fn batch_core<E: EntryView>(&self, entries: &[E], out: &mut Vec<Verdict>) {
+        out.reserve(entries.len());
+        for run in crate::detector::client_runs(entries) {
+            // The verdict is a pure function of the user agent, so one
+            // signature scan covers the whole client run.
+            let first = &run[0];
+            let verdict = if self
+                .engine
+                .matches_parts(first.agent_family(), first.ua_str())
+            {
+                Verdict::ALERT
+            } else {
+                Verdict::CLEAR
+            };
+            out.extend(std::iter::repeat_n(verdict, run.len()));
+        }
+    }
 }
 
 impl Detector for SignatureOnly {
@@ -43,17 +62,11 @@ impl Detector for SignatureOnly {
     }
 
     fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        out.reserve(entries.len());
-        for run in crate::detector::client_runs(entries) {
-            // The verdict is a pure function of the user agent, so one
-            // signature scan covers the whole client run.
-            let verdict = if self.engine.matches(run[0].user_agent()) {
-                Verdict::ALERT
-            } else {
-                Verdict::CLEAR
-            };
-            out.extend(std::iter::repeat_n(verdict, run.len()));
-        }
+        self.batch_core(entries, out);
+    }
+
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
+        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {}

@@ -3,8 +3,15 @@
 //! Both tools in the paper — and every baseline here — consume the same
 //! stream of access-log records and decide, per HTTP request, whether to
 //! alert. That per-request decision is exactly what the paper counts in its
-//! tables, so the trait is deliberately minimal: observe one entry, return a
-//! [`Verdict`].
+//! tables, so the one *required* decision method is minimal: observe one
+//! entry, return a [`Verdict`]. Two batch methods ride on top of it —
+//! [`observe_batch`](Detector::observe_batch) over owned entries and
+//! [`observe_batch_refs`](Detector::observe_batch_refs) over the pipeline's
+//! borrowed [`EntryRef`]s — with defaults that are always correct but not
+//! free: every stock detector overrides both as one-line forwards to a
+//! single `batch_core<E: EntryView>`, and a detector meant for a
+//! line-fed pipeline should do the same (see `observe_batch_refs` for
+//! what the default costs, `examples/custom_detector.rs` for the pattern).
 
 use divscrape_httplog::{EntryRef, EntryView, LogEntry};
 
@@ -123,9 +130,16 @@ pub trait Detector {
     /// arena-backed hot path.
     ///
     /// The default implementation materializes owned [`LogEntry`]s and
-    /// delegates, so every detector is correct out of the box; the stock
-    /// detectors override it with an allocation-free path generic over
-    /// [`EntryView`]. Overrides carry the same contract as
+    /// delegates, so every detector is correct out of the box — at the
+    /// price of one full re-parse of the retained line and ~3 heap
+    /// allocations **per entry**, an order of magnitude more than the set
+    /// probe or window slide a cheap detector actually does. Every stock
+    /// detector (Sentinel, Arcane, the honeytrap, the rate limiter, the
+    /// signature-only baseline and the three session-model baselines)
+    /// overrides it, forwarding to the same `batch_core<E: EntryView>`
+    /// its `observe_batch` uses, so no in-tree composition reaches this
+    /// default; it exists for third-party detectors that implement only
+    /// [`observe`](Self::observe). Overrides carry the same contract as
     /// `observe_batch`: verdicts must be exactly what the owned path
     /// would produce for the same lines, in any batching.
     fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {

@@ -12,10 +12,10 @@
 //! links is invisible) and latency (nothing is flagged until the tripwire
 //! fires), which the committee analyses in `exp_three_tools` quantify.
 
-use divscrape_httplog::LogEntry;
+use divscrape_httplog::{EntryRef, EntryView, LogEntry};
 
 use crate::evict::{ClientStateTable, EvictionConfig, EvictionStats};
-use crate::{Detector, Verdict};
+use crate::{ClientKey, Detector, Verdict};
 
 /// The honeytrap detector: flags any client that ever fetches a trap
 /// path (CSS-hidden, robots.txt-disallowed), from the tripwire onwards.
@@ -54,9 +54,54 @@ impl TrapDetector {
         self.trapped.len()
     }
 
-    fn is_trap(&self, entry: &LogEntry) -> bool {
-        let path = entry.request().path().path();
+    fn is_trap<E: EntryView>(&self, entry: &E) -> bool {
+        let path = entry.path();
         self.trap_paths.iter().any(|t| t == path)
+    }
+
+    /// The per-entry step with the client key precomputed: trip the wire
+    /// if this is a trap fetch, then report whether the client is caught.
+    fn observe_keyed<E: EntryView>(&mut self, key: ClientKey, entry: &E) -> Verdict {
+        let ts = entry.epoch_seconds();
+        if self.is_trap(entry) {
+            self.trapped.insert(key, ts, ());
+        }
+        if self.trapped.get_refresh(&key, ts).is_some() {
+            Verdict::ALERT
+        } else {
+            Verdict::CLEAR
+        }
+    }
+
+    /// The shared hot path, generic over owned and borrowed entries.
+    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
+        out.reserve(entries.len());
+        let evicting = !self.trapped.config().is_disabled();
+        for run in crate::detector::client_runs(entries) {
+            let key = run[0].client_key();
+            if evicting {
+                // Per-entry probes under eviction: a mid-run idle gap can
+                // release a trapped client exactly as the per-entry path
+                // would (only key hashing is amortized over the run).
+                out.extend(run.iter().map(|entry| self.observe_keyed(key, entry)));
+                continue;
+            }
+            // One key hash and one set probe per client run; within the
+            // run only the tripwire itself can change the client's fate.
+            let ts0 = run[0].epoch_seconds();
+            let mut caught = self.trapped.get_refresh(&key, ts0).is_some();
+            for entry in run {
+                if !caught && self.is_trap(entry) {
+                    self.trapped.insert(key, entry.epoch_seconds(), ());
+                    caught = true;
+                }
+                out.push(if caught {
+                    Verdict::ALERT
+                } else {
+                    Verdict::CLEAR
+                });
+            }
+        }
     }
 }
 
@@ -73,57 +118,15 @@ impl Detector for TrapDetector {
     }
 
     fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        let key = entry.client_key();
-        let ts = entry.timestamp().epoch_seconds();
-        if self.is_trap(entry) {
-            self.trapped.insert(key, ts, ());
-        }
-        if self.trapped.get_refresh(&key, ts).is_some() {
-            Verdict::ALERT
-        } else {
-            Verdict::CLEAR
-        }
+        self.observe_keyed(entry.client_key(), entry)
     }
 
     fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        out.reserve(entries.len());
-        let evicting = !self.trapped.config().is_disabled();
-        for run in crate::detector::client_runs(entries) {
-            let key = run[0].client_key();
-            if evicting {
-                // Per-entry probes under eviction: a mid-run idle gap can
-                // release a trapped client exactly as the per-entry path
-                // would (only key hashing is amortized over the run).
-                for entry in run {
-                    let ts = entry.timestamp().epoch_seconds();
-                    if self.is_trap(entry) {
-                        self.trapped.insert(key, ts, ());
-                    }
-                    out.push(if self.trapped.get_refresh(&key, ts).is_some() {
-                        Verdict::ALERT
-                    } else {
-                        Verdict::CLEAR
-                    });
-                }
-                continue;
-            }
-            // One key hash and one set probe per client run; within the
-            // run only the tripwire itself can change the client's fate.
-            let ts0 = run[0].timestamp().epoch_seconds();
-            let mut caught = self.trapped.get_refresh(&key, ts0).is_some();
-            for entry in run {
-                if !caught && self.is_trap(entry) {
-                    self.trapped
-                        .insert(key, entry.timestamp().epoch_seconds(), ());
-                    caught = true;
-                }
-                out.push(if caught {
-                    Verdict::ALERT
-                } else {
-                    Verdict::CLEAR
-                });
-            }
-        }
+        self.batch_core(entries, out);
+    }
+
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
+        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {

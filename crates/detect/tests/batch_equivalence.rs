@@ -1,12 +1,17 @@
 //! The `observe_batch` contract: every stock detector's specialized batch
 //! path must be verdict-identical to the per-entry `observe` loop (the
-//! trait's default), for any chunking of the log.
+//! trait's default), for any chunking of the log — and so must its
+//! borrowed twin, `observe_batch_refs` over `EntryBlock` views of the
+//! rendered lines, with eviction off and on.
 
 use divscrape_detect::baselines::{
     Cart, CartParams, Logistic, LogisticParams, NaiveBayes, RateLimiter, SessionModelDetector,
     SignatureOnly, TrainingSet,
 };
-use divscrape_detect::{Arcane, Committee, Detector, Sentinel, TrapDetector, Verdict};
+use divscrape_detect::{
+    Arcane, Committee, Detector, EvictionConfig, Sentinel, TrapDetector, Verdict,
+};
+use divscrape_httplog::{EntryBlock, EntryRef};
 use divscrape_traffic::{generate, LabelledLog, ScenarioConfig};
 
 fn log() -> LabelledLog {
@@ -28,31 +33,84 @@ fn batched<D: Detector>(det: &mut D, log: &LabelledLog, chunk: usize) -> Vec<Ver
     out
 }
 
-fn assert_batch_equivalent<D: Detector + Clone>(proto: D) {
+/// The borrowed path: each chunk of rendered lines is parsed in place
+/// into a recycled `EntryBlock` (as the pipeline's arena does) and its
+/// views fed to `observe_batch_refs`.
+fn borrowed<D: Detector>(det: &mut D, lines: &[String], chunk: usize) -> Vec<Verdict> {
+    let mut out = Vec::new();
+    let mut block = EntryBlock::new();
+    for part in lines.chunks(chunk) {
+        block.clear();
+        for line in part {
+            block.push_line(line).expect("rendered line parses");
+        }
+        let views: Vec<EntryRef<'_>> = (0..block.len()).map(|i| block.view(i)).collect();
+        det.observe_batch_refs(&views, &mut out);
+    }
+    out
+}
+
+fn assert_same_verdicts(name: &str, case: &str, got: &[Verdict], expected: &[Verdict]) {
+    assert_eq!(got.len(), expected.len(), "{name}: length ({case})");
+    for (i, (g, e)) in got.iter().zip(expected).enumerate() {
+        assert_eq!(
+            g.alert, e.alert,
+            "{name}: alert diverged at entry {i} ({case})"
+        );
+        assert!(
+            (g.score - e.score).abs() < 1e-6,
+            "{name}: score diverged at entry {i} ({case}): {} vs {}",
+            g.score,
+            e.score
+        );
+    }
+}
+
+/// TTL + capacity, tight enough that both mechanisms fire mid-log.
+fn eviction() -> EvictionConfig {
+    EvictionConfig::ttl(900).with_capacity(48)
+}
+
+/// Holds detectors built by `fresh` to the contract on both batch paths:
+/// owned chunks with eviction off, borrowed chunks with eviction off and
+/// on, each against a per-entry `observe` loop under the same policy.
+fn assert_paths_equivalent<D: Detector>(fresh: impl Fn() -> D) {
     let log = log();
-    let mut per_entry = proto.clone();
-    let expected = reference(&mut per_entry, &log);
-    // Whole-log, prime-sized, and single-entry chunking must all agree.
-    for chunk in [log.len(), 257, 1] {
-        let mut det = proto.clone();
-        let got = batched(&mut det, &log, chunk);
-        assert_eq!(got.len(), expected.len(), "{}: length", det.name());
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+    let lines: Vec<String> = log.entries().iter().map(|e| e.to_string()).collect();
+    for evict in [None, Some(eviction())] {
+        let build = || {
+            let mut det = fresh();
+            if let Some(cfg) = evict {
+                det.set_eviction(cfg);
+            }
+            det
+        };
+        let mut per_entry = build();
+        let expected = reference(&mut per_entry, &log);
+        let name = per_entry.name().to_owned();
+        if evict.is_none() {
+            // Whole-log, prime-sized, and single-entry chunking must all agree.
+            for chunk in [log.len(), 257, 1] {
+                let got = batched(&mut build(), &log, chunk);
+                assert_same_verdicts(&name, &format!("owned chunk {chunk}"), &got, &expected);
+            }
+        }
+        for chunk in [1, 7, 311, lines.len()] {
+            let mut det = build();
+            let got = borrowed(&mut det, &lines, chunk);
+            let case = format!("borrowed chunk {chunk}, eviction {}", evict.is_some());
+            assert_same_verdicts(&name, &case, &got, &expected);
             assert_eq!(
-                g.alert,
-                e.alert,
-                "{}: alert diverged at entry {i} with chunk {chunk}",
-                det.name()
-            );
-            assert!(
-                (g.score - e.score).abs() < 1e-6,
-                "{}: score diverged at entry {i} with chunk {chunk}: {} vs {}",
-                det.name(),
-                g.score,
-                e.score
+                det.eviction_stats(),
+                per_entry.eviction_stats(),
+                "{name}: eviction accounting diverged ({case})"
             );
         }
     }
+}
+
+fn assert_batch_equivalent<D: Detector + Clone>(proto: D) {
+    assert_paths_equivalent(|| proto.clone());
 }
 
 #[test]
@@ -124,6 +182,25 @@ fn committee_batch_path_is_equivalent() {
             per_entry.member_alert_counts()
         );
     }
+}
+
+#[test]
+fn five_member_committee_paths_are_equivalent() {
+    // The full diverse ensemble as one detector: `Committee` forwards
+    // each batch path to the same path of every member.
+    assert_paths_equivalent(|| {
+        Committee::new(
+            vec![
+                Box::new(Sentinel::stock()),
+                Box::new(Arcane::stock()),
+                Box::new(TrapDetector::default()),
+                Box::new(RateLimiter::default()),
+                Box::new(SignatureOnly::stock()),
+            ],
+            1,
+        )
+        .expect("five members, k = 1")
+    });
 }
 
 #[test]

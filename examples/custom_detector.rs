@@ -3,18 +3,26 @@
 //! measure its diversity and fold it into a 2-out-of-3 majority vote.
 //!
 //! Any detector that is `Clone + Send` slots straight into a pipeline —
-//! including across sharded workers.
+//! including across sharded workers. `observe` alone is enough to be
+//! correct, but a pipeline fed raw lines (`push_line`, every ingest
+//! source) hands detectors borrowed [`EntryRef`]s, and the trait's
+//! default `observe_batch_refs` re-parses each one into an owned
+//! `LogEntry` (~3 allocations per entry). The pattern below — one core
+//! generic over [`EntryView`], all three trait methods forwarding to it
+//! — is how every stock detector avoids that.
 //!
 //! ```text
 //! cargo run --release --example custom_detector
 //! ```
 //!
 //! [`Pipeline`]: divscrape_pipeline::Pipeline
+//! [`EntryRef`]: divscrape_httplog::EntryRef
+//! [`EntryView`]: divscrape_httplog::EntryView
 
-use divscrape_detect::{Arcane, Detector, Sentinel, SessionFeatures, Sessionizer, Verdict};
+use divscrape_detect::{Arcane, Detector, Sentinel, Sessionizer, Verdict};
 use divscrape_ensemble::report::{percent, TextTable};
 use divscrape_ensemble::{AgreementDiversity, ConfusionMatrix, KOutOfN};
-use divscrape_httplog::LogEntry;
+use divscrape_httplog::{EntryRef, EntryView, LogEntry};
 use divscrape_pipeline::{Adjudication, PipelineBuilder};
 use divscrape_traffic::{generate, ScenarioConfig};
 
@@ -25,13 +33,11 @@ struct OfferVelocity {
     sessions: Sessionizer,
 }
 
-impl Detector for OfferVelocity {
-    fn name(&self) -> &str {
-        "offer-velocity"
-    }
-
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        let f: &SessionFeatures = self.sessions.observe(entry);
+impl OfferVelocity {
+    /// The whole heuristic, written once over [`EntryView`] so owned
+    /// `LogEntry`s and borrowed `EntryRef`s share it.
+    fn observe_view<E: EntryView>(&mut self, entry: &E) -> Verdict {
+        let f = self.sessions.observe(entry);
         // ≥ 30 offer pages at a mean pace under 4 s/request is not a person
         // comparing fares.
         let velocity = f.offer_hits >= 30 && f.mean_gap_secs() < 4.0;
@@ -39,6 +45,30 @@ impl Detector for OfferVelocity {
             velocity,
             f.offer_hits as f32 / f.mean_gap_secs().max(0.1) as f32,
         )
+    }
+
+    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
+        out.extend(entries.iter().map(|entry| self.observe_view(entry)));
+    }
+}
+
+impl Detector for OfferVelocity {
+    fn name(&self) -> &str {
+        "offer-velocity"
+    }
+
+    fn observe(&mut self, entry: &LogEntry) -> Verdict {
+        self.observe_view(entry)
+    }
+
+    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
+        self.batch_core(entries, out);
+    }
+
+    // Without this override a `push_line` pipeline would re-parse every
+    // entry for this member; with it the borrowed views are read in place.
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
+        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {
@@ -51,13 +81,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // All three tools — two stock, one custom — run inside one streaming
     // pipeline; the drained report hands back each member's alert vector.
-    let mut pipeline = PipelineBuilder::new()
-        .detector(Sentinel::stock())
-        .detector(Arcane::stock())
-        .detector(OfferVelocity::default())
-        .adjudication(Adjudication::k_of_n(2)) // the majority vote, online
-        .build()
-        .map_err(|e| e.to_string())?;
+    let build = || {
+        PipelineBuilder::new()
+            .detector(Sentinel::stock())
+            .detector(Arcane::stock())
+            .detector(OfferVelocity::default())
+            .adjudication(Adjudication::k_of_n(2)) // the majority vote, online
+            .build()
+            .map_err(|e| e.to_string())
+    };
+    let mut pipeline = build()?;
     for chunk in log.entries().chunks(1024) {
         pipeline.push_batch(chunk); // a live deployment would feed as logs arrive
     }
@@ -106,6 +139,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("valid")
         .apply(&[&sentinel, &arcane, &custom]);
     assert_eq!(streamed.combined.to_bools(), offline.to_bools());
+
+    // Fed as raw lines instead, the same three tools see borrowed views
+    // (`observe_batch_refs`) and must reach the same verdicts.
+    let mut from_lines = build()?;
+    for entry in log.entries() {
+        from_lines.push_line(&entry.to_string())?;
+    }
+    assert_eq!(
+        from_lines.drain().combined.to_bools(),
+        streamed.combined.to_bools()
+    );
 
     println!("A narrow third tool barely moves 1oo3 but hardens the majority vote:\nits alerts land almost entirely inside the bot population.");
     Ok(())

@@ -12,6 +12,12 @@
 //! which is how a refactor that quietly erodes the zero-copy, sharding,
 //! or triage win gets caught without anyone re-reading the JSON.
 //!
+//! A record carrying `"rebaseline": true` restarts its file's history:
+//! the comparison only looks at records from the latest such marker
+//! onward. That is how a ratio whose *baseline arm* got faster (so the
+//! ratio legitimately fell) is re-anchored — with a `"note"` saying why
+//! — instead of relaxing the floor for everyone.
+//!
 //! Files with fewer than two comparable records are skipped (the gate
 //! needs a prior to compare against); a file that fails to parse is a
 //! hard failure, because an unparseable trajectory would silently
@@ -245,6 +251,25 @@ fn label(record: &Json) -> &str {
 /// Newest record must hold ≥ this share of the best prior speedup.
 const RETAIN_SHARE: f64 = 0.85;
 
+/// The records the gate may compare: everything from the latest
+/// `"rebaseline": true` marker onward (the whole file when none has one).
+fn since_last_rebaseline(records: &[Json]) -> &[Json] {
+    let start = records
+        .iter()
+        .rposition(|r| r.get("rebaseline") == Some(&Json::Bool(true)))
+        .unwrap_or(0);
+    &records[start..]
+}
+
+/// `(label, headline speedup)` of every comparable record in the
+/// current baseline era, oldest first.
+fn comparable(records: &[Json]) -> Vec<(&str, f64)> {
+    since_last_rebaseline(records)
+        .iter()
+        .filter_map(|r| headline_speedup(r).map(|v| (label(r), v)))
+        .collect()
+}
+
 #[test]
 fn newest_bench_record_keeps_the_won_speedup() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -263,10 +288,7 @@ fn newest_bench_record_keeps_the_won_speedup() {
             .unwrap_or_else(|| panic!("{file}: top level must be an array of records"));
         assert!(!records.is_empty(), "{file}: trajectory has no records");
 
-        let comparable: Vec<(&str, f64)> = records
-            .iter()
-            .filter_map(|r| headline_speedup(r).map(|v| (label(r), v)))
-            .collect();
+        let comparable = comparable(records);
         for (who, v) in &comparable {
             assert!(
                 v.is_finite() && *v > 0.0,
@@ -294,7 +316,8 @@ fn newest_bench_record_keeps_the_won_speedup() {
             newest >= RETAIN_SHARE * best_prior,
             "{file}: newest record {newest_label:?} speedup {newest:.2} regressed below \
              {RETAIN_SHARE} x the best prior {best_label:?} ({best_prior:.2}); \
-             if the loss is intended, say why in the record's \"note\" and relax here",
+             if the loss is intended, say why in the record's \"note\" and mark it \
+             \"rebaseline\": true",
         );
         gated += 1;
     }
@@ -318,4 +341,26 @@ fn trajectory_parser_handles_the_shapes_we_store() {
     assert_eq!(records[0].get("note").and_then(Json::as_str), Some("x\"y"));
     assert!(Parser::parse("[1, 2,]").is_err());
     assert!(Parser::parse("[1] tail").is_err());
+}
+
+#[test]
+fn gate_only_compares_records_since_the_latest_rebaseline() {
+    let doc = Parser::parse(
+        r#"[{"label":"old-a","speedup":2.4},
+            {"label":"first-era","rebaseline":true,"points":[{"speedup":1.8}]},
+            {"label":"old-b","speedup":1.9},
+            {"label":"new-era","rebaseline":true,"note":"baseline arm got 3x faster","points":[{"speedup":0.9},{"speedup":0.98}]},
+            {"label":"not-a-marker","rebaseline":false,"speedup":0.95}]"#,
+    )
+    .expect("fixture parses");
+    let records = doc.as_array().expect("array");
+    // Only the latest marker counts, and the marked record itself is in.
+    assert_eq!(
+        comparable(records),
+        vec![("new-era", 0.98), ("not-a-marker", 0.95)]
+    );
+    // No marker anywhere: the whole file is one era.
+    assert_eq!(comparable(&records[..1]), vec![("old-a", 2.4)]);
+    assert_eq!(since_last_rebaseline(&records[..3]).len(), 2);
+    assert!(since_last_rebaseline(&[]).is_empty());
 }

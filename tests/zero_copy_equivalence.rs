@@ -4,13 +4,15 @@
 //! **bit-identical** output to `push_batch` of the same entries parsed
 //! up front: the combined verdicts, every member's verdicts, and every
 //! sink-delivered `Alert::to_json` line, across worker counts {1, 4}
-//! and with eviction off and on (TTL + capacity).
+//! and with eviction off and on (TTL + capacity) — for the paper's two
+//! tools and for the full five-detector ensemble.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use divscrape_detect::{Arcane, EvictionConfig, Sentinel};
+use divscrape_detect::baselines::{RateLimiter, SignatureOnly};
+use divscrape_detect::{Arcane, EvictionConfig, Sentinel, TrapDetector};
 use divscrape_httplog::{LogEntry, LogWriter};
 use divscrape_ingest::{EndReason, FileTail, IngestDriver, Replay, ReplayPace};
 use divscrape_pipeline::{Adjudication, Alert, Pipeline, PipelineBuilder, PipelineReport};
@@ -24,9 +26,20 @@ struct RunOutput {
     alert_jsons: Vec<String>,
 }
 
+/// Which detectors a run composes.
+#[derive(Clone, Copy)]
+enum Members {
+    /// Sentinel + Arcane, the paper's pair.
+    Spine2,
+    /// The pair plus the honeytrap, the rate limiter and the
+    /// signature-only baseline.
+    Ensemble5,
+}
+
 /// A pipeline with a JSON-collecting closure sink attached; the handle
 /// stays valid after the sink moves into the pipeline.
 fn build_pipeline(
+    members: Members,
     workers: usize,
     eviction: Option<EvictionConfig>,
 ) -> (Pipeline, Arc<Mutex<Vec<String>>>) {
@@ -34,7 +47,15 @@ fn build_pipeline(
     let sink_jsons = Arc::clone(&jsons);
     let mut builder = PipelineBuilder::new()
         .detector(Sentinel::stock())
-        .detector(Arcane::stock())
+        .detector(Arcane::stock());
+    if let Members::Ensemble5 = members {
+        builder = builder
+            .detector(TrapDetector::default())
+            // Below the stock 60/min so the limiter alerts at tiny scale.
+            .detector(RateLimiter::new(20))
+            .detector(SignatureOnly::stock());
+    }
+    let mut builder = builder
         .adjudication(Adjudication::k_of_n(1))
         .workers(workers)
         .chunk_capacity(257) // never aligns with the log size
@@ -53,11 +74,12 @@ fn build_pipeline(
 /// The reference: the owned path, entries parsed up front and fed
 /// through `push_batch`.
 fn run_push_batch(
+    members: Members,
     entries: &[LogEntry],
     workers: usize,
     eviction: Option<EvictionConfig>,
 ) -> RunOutput {
-    let (mut pipeline, jsons) = build_pipeline(workers, eviction);
+    let (mut pipeline, jsons) = build_pipeline(members, workers, eviction);
     pipeline.push_batch(entries);
     let report = pipeline.drain();
     let alert_jsons = std::mem::take(&mut *jsons.lock().unwrap());
@@ -70,11 +92,12 @@ fn run_push_batch(
 /// The borrowed path at the engine boundary: raw lines parsed in place
 /// inside the pipeline's entry arena.
 fn run_push_line(
+    members: Members,
     entries: &[LogEntry],
     workers: usize,
     eviction: Option<EvictionConfig>,
 ) -> RunOutput {
-    let (mut pipeline, jsons) = build_pipeline(workers, eviction);
+    let (mut pipeline, jsons) = build_pipeline(members, workers, eviction);
     for entry in entries {
         pipeline.push_line(&entry.to_string()).unwrap();
     }
@@ -88,8 +111,13 @@ fn run_push_line(
 
 /// The borrowed path end to end: a `Replay` pumped through the driver's
 /// `poll_ref` loop (no owned `String` or `LogEntry` per line).
-fn run_replay(entries: &[LogEntry], workers: usize, eviction: Option<EvictionConfig>) -> RunOutput {
-    let (pipeline, jsons) = build_pipeline(workers, eviction);
+fn run_replay(
+    members: Members,
+    entries: &[LogEntry],
+    workers: usize,
+    eviction: Option<EvictionConfig>,
+) -> RunOutput {
+    let (pipeline, jsons) = build_pipeline(members, workers, eviction);
     let mut driver = IngestDriver::new(pipeline);
     let outcome = driver
         .run(&mut Replay::from_entries(entries, ReplayPace::Unlimited))
@@ -121,6 +149,7 @@ impl Drop for Cleanup {
 /// The borrowed path from disk: a `FileTail` batch read through the
 /// driver's `poll_ref` pump.
 fn run_file_tail(
+    members: Members,
     entries: &[LogEntry],
     workers: usize,
     eviction: Option<EvictionConfig>,
@@ -133,7 +162,7 @@ fn run_file_tail(
     writer.write_all(entries).unwrap();
     writer.finish().unwrap().flush().unwrap();
 
-    let (pipeline, jsons) = build_pipeline(workers, eviction);
+    let (pipeline, jsons) = build_pipeline(members, workers, eviction);
     let mut driver = IngestDriver::new(pipeline);
     let mut source = FileTail::read_to_end(&path).unwrap();
     let outcome = driver.run(&mut source).unwrap();
@@ -171,8 +200,9 @@ fn assert_identical(case: &str, got: &RunOutput, want: &RunOutput) {
     );
 }
 
-#[test]
-fn borrowed_spine_is_bit_identical_to_the_owned_path() {
+/// The wall itself: every borrowed source ≡ `push_batch`, across workers
+/// {1, 4} × eviction {off, on}, for one detector composition.
+fn assert_borrowed_paths_match_owned(members: Members, member_count: usize) {
     let log = generate(&ScenarioConfig::tiny(2025)).unwrap();
     let entries = log.entries();
     // TTL + capacity: both eviction mechanisms active during the run.
@@ -180,12 +210,19 @@ fn borrowed_spine_is_bit_identical_to_the_owned_path() {
 
     for workers in [1usize, 4] {
         for evict in [None, Some(eviction)] {
-            let case_base = format!("workers={workers} eviction={}", evict.is_some());
-            let want = run_push_batch(entries, workers, evict);
-            assert!(
-                want.report.combined.count() > 0,
-                "{case_base}: reference must alert"
+            let case_base = format!(
+                "members={member_count} workers={workers} eviction={}",
+                evict.is_some()
             );
+            let want = run_push_batch(members, entries, workers, evict);
+            assert_eq!(want.report.members.len(), member_count, "{case_base}");
+            for member in &want.report.members {
+                assert!(
+                    member.count() > 0,
+                    "{case_base}: member {} must alert for the wall to bite",
+                    member.name()
+                );
+            }
             assert_eq!(
                 want.alert_jsons.len() as u64,
                 want.report.combined.count(),
@@ -194,21 +231,33 @@ fn borrowed_spine_is_bit_identical_to_the_owned_path() {
 
             assert_identical(
                 &format!("{case_base} source=push_line"),
-                &run_push_line(entries, workers, evict),
+                &run_push_line(members, entries, workers, evict),
                 &want,
             );
             assert_identical(
                 &format!("{case_base} source=replay"),
-                &run_replay(entries, workers, evict),
+                &run_replay(members, entries, workers, evict),
                 &want,
             );
             assert_identical(
                 &format!("{case_base} source=file_tail"),
-                &run_file_tail(entries, workers, evict),
+                &run_file_tail(members, entries, workers, evict),
                 &want,
             );
         }
     }
+}
+
+#[test]
+fn borrowed_spine_is_bit_identical_to_the_owned_path() {
+    assert_borrowed_paths_match_owned(Members::Spine2, 2);
+}
+
+#[test]
+fn five_detector_ensemble_is_bit_identical_on_every_path() {
+    // The honeytrap, rate limiter and signature-only baseline run their
+    // own borrowed cores, so the same wall must hold with them composed.
+    assert_borrowed_paths_match_owned(Members::Ensemble5, 5);
 }
 
 #[test]
@@ -218,9 +267,9 @@ fn mixed_owned_and_borrowed_feeding_preserves_order_and_verdicts() {
     // regardless of which buffer each entry landed in.
     let log = generate(&ScenarioConfig::tiny(77)).unwrap();
     let entries = log.entries();
-    let want = run_push_batch(entries, 2, None);
+    let want = run_push_batch(Members::Spine2, entries, 2, None);
 
-    let (mut pipeline, jsons) = build_pipeline(2, None);
+    let (mut pipeline, jsons) = build_pipeline(Members::Spine2, 2, None);
     for (i, chunk) in entries.chunks(61).enumerate() {
         match i % 3 {
             0 => pipeline.push_batch(chunk),
