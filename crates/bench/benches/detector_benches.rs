@@ -1,12 +1,10 @@
-//! Per-detector throughput over a pre-generated log, plus the sharded
-//! parallel runner.
+//! Per-detector throughput over a pre-generated log.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use divscrape_detect::baselines::{
     Cart, CartParams, Logistic, LogisticParams, NaiveBayes, RateLimiter, SessionModelDetector,
     SignatureOnly, TrainingSet,
 };
-use divscrape_detect::parallel::run_sharded_alerts;
 use divscrape_detect::{run_alerts, Arcane, Detector, Sentinel, Sessionizer};
 use divscrape_traffic::{generate, LabelledLog, ScenarioConfig};
 
@@ -81,19 +79,6 @@ fn bench_sessionizer(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sharded(c: &mut Criterion) {
-    let log = log();
-    let mut g = c.benchmark_group("detector/sharded_sentinel");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(log.len() as u64));
-    for workers in [1usize, 2] {
-        g.bench_function(format!("{workers}_workers"), |b| {
-            b.iter(|| run_sharded_alerts(&Sentinel::stock(), log.entries(), workers))
-        });
-    }
-    g.finish();
-}
-
 fn bench_training(c: &mut Criterion) {
     let log = log();
     let training = TrainingSet::from_log(&log, 3);
@@ -111,11 +96,5 @@ fn bench_training(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_all,
-    bench_sessionizer,
-    bench_sharded,
-    bench_training
-);
+criterion_group!(benches, bench_all, bench_sessionizer, bench_training);
 criterion_main!(benches);

@@ -152,7 +152,7 @@ pub type ClientStateTable<V> = StateTable<ClientKey, V>;
 /// one tenant's churn can never evict another tenant's evidence through
 /// key collision (the *capacity* of a shared table is still shared — a
 /// multi-tenant deployment that needs hard isolation gives each tenant
-/// its own tables, as the pipeline hub does).
+/// its own tables, as the service plane does).
 pub type TenantStateTable<V> = StateTable<TenantClientKey, V>;
 
 /// A keyed state map with optional TTL and LRU-capacity eviction.

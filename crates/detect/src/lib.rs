@@ -22,10 +22,11 @@
 //! a specialized batch path that amortizes its per-entry identity work
 //! (user-agent hashing, whitelist checks, signature and reputation
 //! lookups, state-table probes) over runs of same-client entries, with
-//! verdicts guaranteed identical to the per-entry loop. [`run`] and
-//! [`parallel::run_sharded`] route through it automatically, and
-//! [`parallel::run_sharded`] spreads any detector across worker threads
-//! with verdict-identical output.
+//! verdicts guaranteed identical to the per-entry loop. [`run`] routes
+//! through it automatically, and the `divscrape-pipeline` worker pool
+//! spreads any detector across client-sharded worker threads with
+//! verdict-identical output (the [`parallel`] module is its per-shard
+//! scatter kernel).
 //!
 //! Detectors compose: [`Committee`] adjudicates any member set online
 //! behind the same trait, `Detector` is implemented for `Box<D>` and

@@ -1,100 +1,30 @@
-//! Parallel detector execution.
+//! The scatter kernel for client-sharded detector execution.
 //!
 //! Every detector in this crate keeps all mutable state *per client*
 //! (address + user agent), so a log can be partitioned by client and each
 //! shard processed by an independent detector instance without changing any
-//! verdict. This is how such tools scale horizontally in production, and it
-//! gives the benchmark harness a faithful multi-core mode.
+//! verdict. The `divscrape-pipeline` worker pool is the executor that does
+//! so; this module holds the per-shard step it runs on every worker.
 //!
-//! Each worker sees its shard's entries in the original (timestamp) order;
-//! verdicts are written back to the entries' original positions, so the
-//! output is bit-identical to a sequential run. Within a shard, maximal
-//! runs of consecutive entries are fed through
-//! [`Detector::observe_batch`], so detectors with a specialized batch path
-//! keep it under sharding.
+//! Each worker sees its shard's entries in the original (timestamp) order
+//! and returns `(original_index, verdict)` pairs, so the executor can write
+//! verdicts back to the entries' original positions — output bit-identical
+//! to a sequential run. Within a shard, maximal runs of consecutive entries
+//! are fed through [`Detector::observe_batch`], so detectors with a
+//! specialized batch path keep it under sharding.
 
 use divscrape_httplog::{EntryRef, LogEntry};
 
-use crate::session::Sessionizer;
 use crate::{Detector, Verdict};
-
-/// A detector whose state is fully client-local, making shard-parallel
-/// execution verdict-equivalent to sequential execution. All stock
-/// detectors in this crate qualify.
-pub trait ShardableDetector: Detector + Clone + Send {}
-
-impl<D: Detector + Clone + Send> ShardableDetector for D {}
-
-/// Runs `prototype` over `entries` using up to `workers` parallel shards.
-///
-/// Returns exactly the verdicts a sequential [`run`](crate::run) of the same
-/// detector would produce, as long as the detector keeps its state per
-/// client (see [`ShardableDetector`]).
-///
-/// The worker count is clamped to `workers.min(entries.len()).max(1)`:
-/// asking for more workers than entries spawns only as many as can receive
-/// at least one entry, and a request on an empty log runs (trivially) on a
-/// single worker. The clamp replaces an earlier silent fallback to
-/// sequential execution for small logs — the requested parallelism is now
-/// honored whenever the log can feed it.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn run_sharded<D: ShardableDetector>(
-    prototype: &D,
-    entries: &[LogEntry],
-    workers: usize,
-) -> Vec<Verdict> {
-    assert!(workers > 0, "need at least one worker");
-    let workers = workers.min(entries.len()).max(1);
-    if workers == 1 {
-        let mut det = prototype.clone();
-        det.reset();
-        return crate::run(&mut det, entries);
-    }
-
-    // Partition entry indices by client shard.
-    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for (i, e) in entries.iter().enumerate() {
-        shards[Sessionizer::shard_of(&e.client_key(), workers)].push(i);
-    }
-
-    let mut verdicts = vec![Verdict::CLEAR; entries.len()];
-    let chunks: Vec<Vec<(usize, Verdict)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let mut det = prototype.clone();
-                scope.spawn(move || {
-                    det.reset();
-                    run_index_runs(&mut det, entries, shard)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    for chunk in chunks {
-        for (i, v) in chunk {
-            verdicts[i] = v;
-        }
-    }
-    verdicts
-}
 
 /// Feeds one shard's (sorted) entry indices through the detector, batching
 /// each maximal run of consecutive indices so the detector's
 /// [`observe_batch`](Detector::observe_batch) fast path applies. Returns
 /// `(original_index, verdict)` pairs.
 ///
-/// This is the scatter/gather kernel shared by [`run_sharded`] and the
-/// `divscrape-pipeline` persistent worker pool — any executor that
-/// partitions a log by client and needs verdicts back in original
-/// positions.
+/// This is the scatter/gather kernel of the `divscrape-pipeline`
+/// persistent worker pool — any executor that partitions a log by client
+/// and needs verdicts back in original positions.
 pub fn run_index_runs<D: Detector + ?Sized>(
     det: &mut D,
     entries: &[LogEntry],
@@ -143,97 +73,4 @@ pub fn run_index_runs_refs<D: Detector + ?Sized>(
         pos = end;
     }
     out
-}
-
-/// Like [`run_sharded`] but returns only the alert flags.
-pub fn run_sharded_alerts<D: ShardableDetector>(
-    prototype: &D,
-    entries: &[LogEntry],
-    workers: usize,
-) -> Vec<bool> {
-    run_sharded(prototype, entries, workers)
-        .into_iter()
-        .map(|v| v.alert)
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::baselines::RateLimiter;
-    use crate::{run, Arcane, Sentinel};
-    use divscrape_traffic::{generate, ScenarioConfig};
-
-    fn assert_parallel_equivalent<D: ShardableDetector>(proto: D, seed: u64) {
-        let log = generate(&ScenarioConfig::small(seed)).unwrap();
-        let mut sequential = proto.clone();
-        sequential.reset();
-        let expected = run(&mut sequential, log.entries());
-        for workers in [2, 3, 7] {
-            let got = run_sharded(&proto, log.entries(), workers);
-            assert_eq!(got.len(), expected.len());
-            let diff = got
-                .iter()
-                .zip(&expected)
-                .filter(|(a, b)| a.alert != b.alert)
-                .count();
-            assert_eq!(diff, 0, "{workers} workers diverged on {diff} verdicts");
-        }
-    }
-
-    #[test]
-    fn sentinel_is_shard_equivalent() {
-        assert_parallel_equivalent(Sentinel::stock(), 51);
-    }
-
-    #[test]
-    fn arcane_is_shard_equivalent() {
-        assert_parallel_equivalent(Arcane::stock(), 52);
-    }
-
-    #[test]
-    fn rate_limiter_is_shard_equivalent() {
-        assert_parallel_equivalent(RateLimiter::new(20), 53);
-    }
-
-    #[test]
-    fn single_worker_falls_back_to_sequential() {
-        let log = generate(&ScenarioConfig::tiny(5)).unwrap();
-        let verdicts = run_sharded(&Sentinel::stock(), log.entries(), 1);
-        assert_eq!(verdicts.len(), log.len());
-    }
-
-    #[test]
-    fn worker_count_clamps_to_log_size() {
-        let log = generate(&ScenarioConfig::tiny(8)).unwrap();
-        // Tiny logs used to fall back to sequential silently; now the
-        // request is honored with a clamped worker count and must still be
-        // verdict-identical.
-        let few = &log.entries()[..7];
-        let mut sequential = Sentinel::stock();
-        let expected = run(&mut sequential, few);
-        for workers in [2, 7, 64] {
-            let got = run_sharded(&Sentinel::stock(), few, workers);
-            assert_eq!(got.len(), expected.len());
-            let same = got.iter().zip(&expected).all(|(a, b)| a.alert == b.alert);
-            assert!(same, "{workers} workers diverged on a 7-entry log");
-        }
-        // And an empty log is fine under any worker request.
-        assert!(run_sharded(&Sentinel::stock(), &[], 16).is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_workers_is_rejected() {
-        let log = generate(&ScenarioConfig::tiny(5)).unwrap();
-        let _ = run_sharded(&Sentinel::stock(), log.entries(), 0);
-    }
-
-    #[test]
-    fn alert_helper_matches_full_run() {
-        let log = generate(&ScenarioConfig::tiny(6)).unwrap();
-        let full = run_sharded(&Arcane::stock(), log.entries(), 3);
-        let alerts = run_sharded_alerts(&Arcane::stock(), log.entries(), 3);
-        assert_eq!(alerts, full.iter().map(|v| v.alert).collect::<Vec<_>>());
-    }
 }

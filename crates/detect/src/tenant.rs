@@ -4,7 +4,7 @@
 //! site; a shared scraping-defense service protects many properties at
 //! once, each with its own log stream, detector state and calibration.
 //! [`TenantId`] is the identity that threads through every layer of that
-//! service: ingestion stamps it on each polled record, the pipeline hub
+//! service: each source pump feeds one tenant, the service plane
 //! routes on it, per-client state tables can scope their keys with it
 //! ([`TenantClientKey`]), and adjudicated alerts carry it to the sinks.
 //!

@@ -663,9 +663,8 @@ impl ReportAccumulator {
     }
 }
 
-/// Applies the [`ErrorPolicy`] to a malformed line. Shared by
-/// [`IngestDriver`] and the multi-tenant `HubDriver`.
-pub(crate) fn handle_malformed(
+/// Applies the [`ErrorPolicy`] to a malformed line.
+fn handle_malformed(
     policy: &mut ErrorPolicy,
     stats: &mut IngestStats,
     line: String,
@@ -686,9 +685,8 @@ pub(crate) fn handle_malformed(
     }
 }
 
-/// Applies the [`ErrorPolicy`] to an oversized-line discard. Shared by
-/// [`IngestDriver`] and the multi-tenant `HubDriver`.
-pub(crate) fn handle_oversized(
+/// Applies the [`ErrorPolicy`] to an oversized-line discard.
+fn handle_oversized(
     policy: &mut ErrorPolicy,
     stats: &mut IngestStats,
     dropped_bytes: usize,

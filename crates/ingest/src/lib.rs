@@ -30,13 +30,10 @@
 //!   (read, parsed, rejected, quarantined, time blocked on
 //!   backpressure, source lag) alongside
 //!   [`Pipeline::stats`](divscrape_pipeline::Pipeline::stats).
-//! * For a **multi-tenant** service, [`Tagged`] stamps every record a
-//!   source produces with its [`TenantId`], [`MultiSource`] fans any
-//!   number of tagged sources (file + socket + replay freely mixed)
-//!   into one stream with round-robin fairness and per-member lag
-//!   accounting, and [`HubDriver`] pumps that stream into a
-//!   [`PipelineHub`](divscrape_pipeline::PipelineHub) — one isolated
-//!   pipeline per tenant.
+//! * For a **multi-tenant** service, every [`LogSource`] here plugs
+//!   into `divscrape-service`'s `SourcePump` — one pump thread per
+//!   source, feeding one tenant of a `ServicePlane` — with
+//!   [`UdpSource`] as the lossy, drop-and-count syslog-style intake.
 //! * [`FileTail`] can persist a **checkpoint** (file identity + byte
 //!   offset + delivered count, CRC-protected;
 //!   [`FileTail::with_checkpoint`]) so a restarted ingester resumes
@@ -95,22 +92,18 @@
 
 mod driver;
 mod file_tail;
-mod hub_driver;
 mod replay;
 mod socket;
 mod source;
-mod tagged;
 mod udp;
 
 pub use driver::{
     EndReason, ErrorPolicy, IngestDriver, IngestError, IngestReport, IngestStats, StopHandle,
 };
 pub use file_tail::FileTail;
-pub use hub_driver::{HubDriver, HubIngestReport};
 pub use replay::{Replay, ReplayPace};
 pub use socket::{SocketSource, SocketSourceConfig};
 pub use source::{LogSource, SourceEvent, SourceEventRef};
-pub use tagged::{MultiSource, SourceLag, Tagged, TaggedEvent, TaggedSource};
 pub use udp::{UdpSource, UdpSourceConfig, UdpSourceStats};
 
 // Re-exported so ingestion deployments can tag tenants without

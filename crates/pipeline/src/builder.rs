@@ -238,9 +238,7 @@ pub struct PipelineBuilder {
     eviction: EvictionConfig,
     eviction_budget: Option<usize>,
     triage: Option<TriagePolicy>,
-    /// `pub(crate)` so [`HubBuilder`](crate::HubBuilder) can fill in its
-    /// hub-wide default for tenants that did not set their own policy.
-    pub(crate) recalibration: Option<RecalibrationPolicy>,
+    recalibration: Option<RecalibrationPolicy>,
     labels: Option<LabelOracle>,
     threshold_control: Option<ThresholdPolicy>,
     drift_hook: Option<DriftHook>,
@@ -326,8 +324,8 @@ impl PipelineBuilder {
     /// The tenant id is stamped on every adjudicated [`Alert`] delivered
     /// to the sinks — [`Alert::to_json`](crate::Alert::to_json) renders
     /// it, so file and TCP alert streams from many tenants stay
-    /// attributable after mixing. A [`PipelineHub`](crate::PipelineHub)
-    /// sets this automatically for each member pipeline.
+    /// attributable after mixing. `divscrape-service`'s `ServicePlane`
+    /// sets this automatically for each tenant shard's pipeline.
     ///
     /// [`Alert`]: crate::Alert
     pub fn tenant(mut self, tenant: TenantId) -> Self {

@@ -739,8 +739,8 @@ impl Pipeline {
     /// Like any capacity bound, a tighter policy can change subsequent
     /// verdicts (see [`PipelineBuilder::eviction`](crate::PipelineBuilder::eviction));
     /// the point of runtime re-configuration is elasticity — a
-    /// multi-tenant hub re-apportioning one global budget as tenants
-    /// come and go ([`PipelineHub`](crate::PipelineHub)).
+    /// multi-tenant service plane re-apportioning one global budget as
+    /// tenants come and go.
     pub fn set_eviction(&mut self, eviction: EvictionConfig) {
         // Submit anything still buffered so the policy boundary falls
         // exactly between entries pushed before and after this call

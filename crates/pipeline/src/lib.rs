@@ -56,12 +56,13 @@
 //!   counters ([`PipelineStats`]): throughput, queue depth, per-stage
 //!   latency, client-state occupancy/evictions, the currently installed
 //!   adjudication weights and runtime-reconfiguration tallies.
-//! * For a service protecting **many properties at once**, [`PipelineHub`]
-//!   owns one fully isolated pipeline per tenant (detector mix,
-//!   adjudication rule, eviction policy and sinks can all differ), routes
-//!   tenant-tagged entries to the owning pipeline, snapshots per-tenant +
-//!   aggregate counters ([`HubStats`]), and can apportion one global
-//!   eviction budget across tenants by live-client share.
+//! * For a service protecting **many properties at once**, a pipeline
+//!   is the per-tenant unit: [`tenant`](PipelineBuilder::tenant) tags
+//!   its alerts, and `divscrape-service`'s `ServicePlane` runs one
+//!   fully isolated pipeline per tenant shard (detector mix,
+//!   adjudication rule, eviction policy and sinks can all differ),
+//!   apportioning one global eviction budget through
+//!   [`set_eviction_global_capacity`](Pipeline::set_eviction_global_capacity).
 //! * [`drain`](Pipeline::drain) flushes and returns a [`PipelineReport`]
 //!   with the adjudicated [`AlertVector`]
 //!   plus one per member, ready for the contingency/diversity analyses in
@@ -134,7 +135,6 @@
 
 mod builder;
 mod engine;
-mod hub;
 mod mux;
 mod record;
 mod sink;
@@ -145,9 +145,6 @@ mod triage;
 
 pub use builder::{Adjudication, BuildError, DriftHook, LabelOracle, PipelineBuilder};
 pub use engine::{AppliedRuleUpdate, Pipeline, PipelineReport, RuleProvenance};
-pub use hub::{
-    apportion_budget, HubBuildError, HubBuilder, HubReport, HubStats, PipelineHub, TenantStats,
-};
 pub use mux::{MuxCollector, MuxCollectorSink};
 pub use record::{AlertParseError, AlertRecord, ScoreRecord};
 pub use sink::{

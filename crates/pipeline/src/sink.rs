@@ -25,8 +25,8 @@ use crate::record::{parse_alert_record, AlertParseError, AlertRecord};
 #[derive(Debug, Clone, Copy)]
 pub struct Alert<'a> {
     /// 0-based position of the entry in the pipeline's feed order
-    /// (per-tenant feed order, for a pipeline inside a
-    /// [`PipelineHub`](crate::PipelineHub)).
+    /// (per-shard feed order, for a tenant shard's pipeline inside a
+    /// service plane).
     pub index: u64,
     /// The tenant whose pipeline raised the alert
     /// ([`PipelineBuilder::tenant`](crate::PipelineBuilder::tenant));

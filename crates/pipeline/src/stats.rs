@@ -9,8 +9,8 @@ use std::time::Duration;
 /// [`Pipeline::set_adjudication`](crate::Pipeline::set_adjudication),
 /// recalibrator-derived weight updates). Operators read it to tell a
 /// frozen recalibrator (adjudication counter flat) from one that is
-/// actually updating, and a hub that is rebalancing eviction budgets
-/// from one that is not.
+/// actually updating, and a service plane that is rebalancing eviction
+/// budgets from one that is not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeUpdates {
     /// Eviction-policy installs applied over the pipeline's lifetime
@@ -27,14 +27,6 @@ impl RuntimeUpdates {
     /// Total runtime mutations applied, across all kinds.
     pub fn total(&self) -> u64 {
         self.eviction + self.adjudication
-    }
-
-    /// Element-wise sum — used by hub-level aggregation.
-    pub(crate) fn merged(self, other: RuntimeUpdates) -> RuntimeUpdates {
-        RuntimeUpdates {
-            eviction: self.eviction + other.eviction,
-            adjudication: self.adjudication + other.adjudication,
-        }
     }
 }
 

@@ -78,7 +78,7 @@ impl StoreSink {
     }
 
     /// Wraps an already-open shared store — use this to point several
-    /// sinks (e.g. one per tenant pipeline in a hub) at one store; the
+    /// sinks (e.g. one per tenant shard of a service plane) at one store; the
     /// tenant tag keeps their key spaces disjoint.
     pub fn shared(store: SharedAlertStore) -> Self {
         Self {

@@ -235,13 +235,13 @@ fn dispatch(command: &str, plane: &ServicePlane) -> (String, bool) {
             }
         }
         "BUDGET" => match words.next().and_then(|w| w.parse::<usize>().ok()) {
-            Some(budget) => {
-                let allotments = plane.set_eviction_budget(budget);
-                (
+            Some(budget) => match plane.set_eviction_budget(budget) {
+                Ok(allotments) => (
                     format!("OK budget={budget} tenants={}", allotments.len()),
                     false,
-                )
-            }
+                ),
+                Err(e) => (format!("ERR {e}"), false),
+            },
             None => ("ERR BUDGET needs a non-negative integer".to_owned(), false),
         },
         "QUIT" => ("OK bye".to_owned(), true),

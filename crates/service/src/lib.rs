@@ -1,11 +1,12 @@
 //! The sharded **service plane** for the `divscrape` reproduction: the
 //! deployable, multi-tenant form of the streaming pipeline.
 //!
-//! `divscrape-pipeline`'s [`PipelineHub`](divscrape_pipeline::PipelineHub)
-//! isolates tenants structurally but drives them all from one caller
-//! thread — a stalled tenant sink stalls the whole feed. This crate
-//! promotes the hub into a *service plane* where isolation is also
-//! temporal:
+//! A shared scraping-defense service protects many properties at once,
+//! and each needs its own detector state and calibration — scraper
+//! behaviour differs per target site. Giving every tenant its own
+//! [`Pipeline`](divscrape_pipeline::Pipeline) isolates them
+//! structurally; this crate is the one runtime that hosts those
+//! pipelines, and makes the isolation temporal as well:
 //!
 //! * [`ServicePlane`] gives every tenant its own **driver thread per
 //!   shard** behind bounded queues. A stalled tenant fills only its own

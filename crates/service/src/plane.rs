@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use divscrape_detect::TenantId;
 use divscrape_pipeline::{
-    apportion_budget, BuildError, PipelineBuilder, PipelineReport, PipelineStats, RuntimeUpdates,
+    BuildError, PipelineBuilder, PipelineReport, PipelineStats, RuntimeUpdates,
 };
 
 use crate::shard::{offer_line, send_line, shard_of, Offer, ShardHandle, ShardMsg};
@@ -24,8 +24,8 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 /// [`PipelineBuilder::tenant`].
 pub type TenantFactory = dyn Fn(&TenantId, usize) -> PipelineBuilder + Send + Sync;
 
-/// Why a [`ServicePlaneBuilder::build`] or [`ServicePlane::join`] call
-/// failed.
+/// Why a [`ServicePlaneBuilder::build`], [`ServicePlane::join`] or
+/// [`ServicePlane::set_eviction_budget`] call failed.
 #[derive(Debug)]
 pub enum ServiceError {
     /// A shard's pipeline failed to build.
@@ -35,6 +35,18 @@ pub enum ServiceError {
     /// [`ServicePlane::join`] was called but the plane has no default
     /// tenant factory.
     NoFactory,
+    /// The global eviction budget cannot grant every worker replica of
+    /// every shard at least one tracked client. Nothing was installed:
+    /// the previous budget (if any) stays in force, and a refused join
+    /// leaves the tenant unserved.
+    BadGlobalBudget {
+        /// The requested (or, for a refused join, installed)
+        /// service-wide client budget.
+        budget: usize,
+        /// The minimum the tenant set requires: one client per worker
+        /// replica per shard.
+        required: usize,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -45,6 +57,11 @@ impl fmt::Display for ServiceError {
                 write!(f, "tenant already joined: {}", id.as_str())
             }
             ServiceError::NoFactory => write!(f, "no default tenant factory configured"),
+            ServiceError::BadGlobalBudget { budget, required } => write!(
+                f,
+                "global eviction budget {budget} cannot cover the served tenants \
+                 (their worker replicas need at least {required} clients)"
+            ),
         }
     }
 }
@@ -79,8 +96,7 @@ struct RoutingCounters {
 }
 
 /// Totals carried over from tenants that have left, keeping the plane's
-/// aggregate counters monotonic across membership churn (mirrors the
-/// hub's departed-tenant folding).
+/// aggregate counters monotonic across membership churn.
 #[derive(Default, Clone, Copy)]
 struct Departed {
     entries: u64,
@@ -194,8 +210,11 @@ impl ServicePlaneBuilder {
     ///
     /// # Errors
     ///
-    /// Fails when a tenant is registered twice or a shard pipeline does
-    /// not build; already-spawned shards are stopped on the way out.
+    /// Fails when a tenant is registered twice, a shard pipeline does
+    /// not build, or the global eviction budget is smaller than one
+    /// client per worker replica per shard
+    /// ([`ServiceError::BadGlobalBudget`]); already-spawned shards are
+    /// stopped on the way out.
     pub fn build(self) -> Result<ServicePlane, ServiceError> {
         let mut seen: HashMap<&str, ()> = HashMap::new();
         for (id, _, _) in &self.tenants {
@@ -208,13 +227,16 @@ impl ServicePlaneBuilder {
             match spawn_tenant(id, *shards, factory.as_ref(), self.queue_depth) {
                 Ok(runtime) => registry.push(runtime),
                 Err(e) => {
-                    for runtime in registry {
-                        for shard in runtime.shards {
-                            let _ = shard.stop();
-                        }
-                    }
+                    stop_tenants(registry);
                     return Err(e);
                 }
+            }
+        }
+        if let Some(budget) = self.budget {
+            let required = required_clients(&registry);
+            if budget < required {
+                stop_tenants(registry);
+                return Err(ServiceError::BadGlobalBudget { budget, required });
             }
         }
         let plane = ServicePlane {
@@ -233,6 +255,27 @@ impl ServicePlaneBuilder {
         }
         Ok(plane)
     }
+}
+
+/// Stops every shard of the given tenants (a build or join backing out,
+/// or the plane dropping).
+fn stop_tenants(tenants: impl IntoIterator<Item = TenantRuntime>) {
+    for runtime in tenants {
+        for shard in runtime.shards {
+            let _ = shard.stop();
+        }
+    }
+}
+
+/// The smallest global eviction budget the tenant set can run under:
+/// one client per worker replica per shard (the floors
+/// [`apportion_budget`] reserves before sharing out the rest).
+fn required_clients(registry: &[TenantRuntime]) -> usize {
+    registry
+        .iter()
+        .flat_map(|t| t.shards.iter())
+        .map(ShardHandle::worker_count)
+        .sum()
 }
 
 fn spawn_tenant<F>(
@@ -455,8 +498,8 @@ impl ServicePlane {
     /// # Errors
     ///
     /// [`ServiceError::NoFactory`] without a
-    /// [`default_factory`](ServicePlaneBuilder::default_factory),
-    /// [`ServiceError::DuplicateTenant`] when already served.
+    /// [`default_factory`](ServicePlaneBuilder::default_factory);
+    /// otherwise as [`join_with`](Self::join_with).
     ///
     /// ```
     /// use divscrape_detect::{Sentinel, TenantId};
@@ -489,7 +532,10 @@ impl ServicePlane {
     /// # Errors
     ///
     /// [`ServiceError::DuplicateTenant`] when already served;
-    /// [`ServiceError::Pipeline`] when a shard pipeline fails to build.
+    /// [`ServiceError::Pipeline`] when a shard pipeline fails to build;
+    /// [`ServiceError::BadGlobalBudget`] when the installed global
+    /// eviction budget cannot cover the grown tenant set — the tenant
+    /// is not added and the other tenants' allotments do not move.
     ///
     /// ```
     /// use divscrape_detect::{Sentinel, TenantId};
@@ -516,19 +562,35 @@ impl ServicePlane {
         }
         // Build outside the write lock — pipeline spawning is slow.
         let runtime = spawn_tenant(tenant, shards.max(1), &factory, self.shared.queue_depth)?;
-        {
+        let admitted = {
+            // Budget before registry, like `set_eviction_budget`, so the
+            // check below and a concurrent budget change serialize.
+            let budget = self.lock_budget();
             let mut registry = self.write_registry();
+            // The joiner's worker counts are only known once built, so
+            // the grown set is validated here, after the spawn.
+            let required =
+                required_clients(&registry) + required_clients(std::slice::from_ref(&runtime));
             if registry.iter().any(|t| &t.id == tenant) {
                 // Raced with a concurrent join; discard ours.
-                for shard in runtime.shards {
-                    let _ = shard.stop();
-                }
-                return Err(ServiceError::DuplicateTenant(tenant.clone()));
+                Err((ServiceError::DuplicateTenant(tenant.clone()), runtime))
+            } else if let Some(budget) = (*budget).filter(|&budget| budget < required) {
+                Err((ServiceError::BadGlobalBudget { budget, required }, runtime))
+            } else {
+                registry.push(runtime);
+                Ok(())
             }
-            registry.push(runtime);
+        };
+        match admitted {
+            Ok(()) => {
+                self.rebalance_eviction();
+                Ok(())
+            }
+            Err((refusal, runtime)) => {
+                stop_tenants([runtime]);
+                Err(refusal)
+            }
         }
-        self.rebalance_eviction();
-        Ok(())
     }
 
     /// Removes a tenant: final-drains every shard, folds its lifetime
@@ -633,11 +695,17 @@ impl ServicePlane {
 
     /// Installs a service-wide client-state budget and apportions it
     /// across every shard of every tenant — floors of one client per
-    /// worker replica, the remainder by live-client share (the same
-    /// [`apportion_budget`] arithmetic the hub uses). Returns the
+    /// worker replica, the remainder by live-client share. Returns the
     /// per-tenant allotments, in registration order. Budget installs
     /// ride the shard queues (fire-and-forget), so a stalled shard
     /// applies its allotment when it next drains its queue.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::BadGlobalBudget`] when `budget` is smaller than
+    /// one client per worker replica per shard — the floors alone would
+    /// exceed it, so it could not be honoured. The previous budget (or
+    /// none) stays in force.
     ///
     /// ```
     /// use divscrape_detect::{Sentinel, TenantId};
@@ -651,33 +719,35 @@ impl ServicePlane {
     ///     })
     ///     .build()
     ///     .map_err(|e| e.to_string())?;
-    /// let allotments = plane.set_eviction_budget(100);
+    /// let allotments = plane.set_eviction_budget(100).map_err(|e| e.to_string())?;
     /// assert_eq!(allotments.len(), 1);
     /// assert_eq!(allotments[0].1, 100); // whole budget to the only tenant
+    /// // 2 shards × 2 workers need 4 clients: 3 is refused, 100 stays.
+    /// assert!(plane.set_eviction_budget(3).is_err());
     /// assert_eq!(plane.stats().eviction_budget, Some(100));
     /// # Ok::<(), String>(())
     /// ```
-    pub fn set_eviction_budget(&self, budget: usize) -> Vec<(TenantId, usize)> {
-        *self
-            .shared
-            .budget
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(budget);
-        self.rebalance_eviction()
+    pub fn set_eviction_budget(
+        &self,
+        budget: usize,
+    ) -> Result<Vec<(TenantId, usize)>, ServiceError> {
+        {
+            let mut installed = self.lock_budget();
+            let required = required_clients(&self.read_registry());
+            if budget < required {
+                return Err(ServiceError::BadGlobalBudget { budget, required });
+            }
+            *installed = Some(budget);
+        }
+        Ok(self.rebalance_eviction())
     }
 
     /// Re-apportions the currently installed budget (no-op without one).
     /// Called automatically on join/leave; call it periodically to track
     /// shifting live-client shares. Returns per-tenant allotments.
     pub fn rebalance_eviction(&self) -> Vec<(TenantId, usize)> {
-        let budget = match *self
-            .shared
-            .budget
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-        {
-            Some(budget) => budget,
-            None => return Vec::new(),
+        let Some(budget) = *self.lock_budget() else {
+            return Vec::new();
         };
         // Snapshot (sender, floor, share) per shard without holding the
         // lock across any send.
@@ -851,11 +921,7 @@ impl ServicePlane {
             routed_lines: self.shared.routing.routed.load(Ordering::Relaxed),
             dropped_lines: self.shared.routing.dropped.load(Ordering::Relaxed),
             unrouted_lines: self.shared.routing.unrouted.load(Ordering::Relaxed),
-            eviction_budget: *self
-                .shared
-                .budget
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
+            eviction_budget: *self.lock_budget(),
             tenants,
         }
     }
@@ -874,12 +940,50 @@ impl ServicePlane {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    fn lock_budget(&self) -> std::sync::MutexGuard<'_, Option<usize>> {
+        self.shared
+            .budget
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn lock_departed(&self) -> std::sync::MutexGuard<'_, Departed> {
         self.shared
             .departed
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
+}
+
+/// Splits `budget` across shard pools: every pool keeps its floor (one
+/// client per worker replica), the spare goes out proportionally to
+/// `shares` (evenly when all shares are zero), flooring remainders
+/// handed out front to back. The result sums to exactly `budget` when
+/// `budget >= Σfloors` — `build`, `set_eviction_budget` and `join_with`
+/// refuse smaller budgets, so the plane never calls it otherwise.
+fn apportion_budget(budget: usize, floors: &[usize], shares: &[usize]) -> Vec<usize> {
+    let n = floors.len();
+    let reserved: usize = floors.iter().sum();
+    let spare = budget.saturating_sub(reserved);
+    let total: usize = shares.iter().sum();
+    let mut out = floors.to_vec();
+    if total == 0 {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot += spare / n + usize::from(i < spare % n);
+        }
+    } else {
+        let mut handed = 0usize;
+        for (slot, &share) in out.iter_mut().zip(shares) {
+            // u128 keeps budget × share exact for any realistic scale.
+            let grant = (spare as u128 * share as u128 / total as u128) as usize;
+            *slot += grant;
+            handed += grant;
+        }
+        for i in 0..spare - handed {
+            out[i % n] += 1;
+        }
+    }
+    out
 }
 
 fn drain_shards(senders: &[SyncSender<ShardMsg>]) -> Vec<PipelineReport> {
@@ -1016,8 +1120,7 @@ impl TenantShardStats {
 
 /// A point-in-time snapshot of a [`ServicePlane`]. The `entries_processed`,
 /// `alerts`, `runtime_updates` and `parse_errors` aggregates include
-/// tenants that have since left — monotonic across membership churn,
-/// like [`HubStats`](divscrape_pipeline::HubStats).
+/// tenants that have since left — monotonic across membership churn.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Per-tenant, per-shard counters in registration order.
@@ -1188,11 +1291,7 @@ impl Drop for PlaneShared {
             .registry
             .get_mut()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for runtime in registry.drain(..) {
-            for shard in runtime.shards {
-                let _ = shard.stop();
-            }
-        }
+        stop_tenants(registry.drain(..));
     }
 }
 
@@ -1286,6 +1385,157 @@ mod tests {
         assert!(stats.tenants.is_empty());
         assert_eq!(stats.entries_processed, 30, "departed totals folded");
         assert!(plane.leave(&late).is_none());
+    }
+
+    fn two_workers(_: &TenantId, _: usize) -> PipelineBuilder {
+        PipelineBuilder::new()
+            .detector(Sentinel::stock())
+            .adjudication(Adjudication::k_of_n(1))
+            .workers(2)
+    }
+
+    #[test]
+    fn duplicate_tenants_are_rejected_at_build() {
+        let err = ServicePlane::builder()
+            .tenant(TenantId::new("a"), 1, factory)
+            .tenant(TenantId::new("a"), 2, factory)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::DuplicateTenant(t) if t.as_str() == "a"));
+    }
+
+    #[test]
+    fn build_validates_and_apportions_the_global_budget() {
+        // 2 tenants × 2 shards × 2 workers: at least 8 clients required.
+        let build = |budget: usize| {
+            ServicePlane::builder()
+                .tenant(TenantId::new("a"), 2, two_workers)
+                .tenant(TenantId::new("b"), 2, two_workers)
+                .global_eviction_budget(budget)
+                .build()
+        };
+        assert!(matches!(
+            build(7).unwrap_err(),
+            ServiceError::BadGlobalBudget {
+                budget: 7,
+                required: 8
+            }
+        ));
+        let plane = build(64).expect("budget covers the floors");
+        let applied = plane.rebalance_eviction();
+        // No live clients yet: even split, the whole budget granted.
+        assert_eq!(applied.iter().map(|(_, b)| b).sum::<usize>(), 64);
+        assert_eq!((applied[0].1, applied[1].1), (32, 32));
+    }
+
+    #[test]
+    fn set_eviction_budget_refuses_what_the_floors_would_exceed() {
+        let plane = ServicePlane::builder()
+            .tenant(TenantId::new("a"), 2, two_workers)
+            .tenant(TenantId::new("b"), 2, two_workers)
+            .build()
+            .expect("plane builds");
+        // Refused with no budget installed: none gets installed.
+        let err = plane.set_eviction_budget(0).unwrap_err();
+        assert!(matches!(
+            err,
+            ServiceError::BadGlobalBudget {
+                budget: 0,
+                required: 8
+            }
+        ));
+        assert_eq!(plane.stats().eviction_budget, None);
+        assert!(plane.rebalance_eviction().is_empty());
+        // The exact requirement is accepted...
+        let applied = plane.set_eviction_budget(8).expect("floors fit exactly");
+        assert_eq!(applied.iter().map(|(_, b)| b).sum::<usize>(), 8);
+        // ...and a later under-sized request leaves it in force.
+        assert!(plane.set_eviction_budget(7).is_err());
+        assert_eq!(plane.stats().eviction_budget, Some(8));
+        assert_eq!(
+            plane
+                .rebalance_eviction()
+                .iter()
+                .map(|(_, b)| b)
+                .sum::<usize>(),
+            8
+        );
+    }
+
+    #[test]
+    fn join_budget_error_reports_the_true_requirement() {
+        // Budget 8 exactly covers two 2-shard × 2-worker tenants; a
+        // third needs 12 in total and must be rolled back with the
+        // accurate requirement in the error.
+        let c = TenantId::new("c");
+        let plane = ServicePlane::builder()
+            .tenant(TenantId::new("a"), 2, two_workers)
+            .tenant(TenantId::new("b"), 2, two_workers)
+            .default_factory(two_workers)
+            .global_eviction_budget(8)
+            .build()
+            .expect("plane builds");
+        for err in [
+            plane.join_with(&c, 2, two_workers).unwrap_err(),
+            plane.join(&c, Some(2)).unwrap_err(),
+        ] {
+            assert!(matches!(
+                err,
+                ServiceError::BadGlobalBudget {
+                    budget: 8,
+                    required: 12
+                }
+            ));
+        }
+        assert_eq!(plane.tenants().len(), 2, "failed join must roll back");
+        assert_eq!(
+            plane.ingest(&c, clf("10.0.0.1", 0)),
+            IngestOutcome::UnknownTenant
+        );
+        assert_eq!(plane.stats().eviction_budget, Some(8));
+        // Once a tenant leaves there is room again.
+        plane.leave(&TenantId::new("b")).expect("served");
+        plane.join(&c, Some(2)).expect("budget covers the new set");
+    }
+
+    #[test]
+    fn rebalance_follows_live_client_share() {
+        let (a, b) = (TenantId::new("a"), TenantId::new("b"));
+        let plane = ServicePlane::builder()
+            .tenant(a.clone(), 1, factory)
+            .tenant(b.clone(), 1, factory)
+            .global_eviction_budget(100)
+            .build()
+            .expect("plane builds");
+        // All the traffic goes to tenant a; b stays idle.
+        for i in 0..200u32 {
+            plane.ingest(&a, clf(&format!("10.3.{}.{}", i / 50, i % 50 + 1), i));
+        }
+        let _ = plane.drain_all();
+        let applied = plane.rebalance_eviction();
+        let (ref ta, budget_a) = applied[0];
+        let (ref tb, budget_b) = applied[1];
+        assert_eq!((ta, tb), (&a, &b));
+        assert!(
+            budget_a > budget_b,
+            "the busy tenant must out-apportion the idle one ({budget_a} vs {budget_b})"
+        );
+        assert!(budget_b >= 1, "every tenant keeps its floor");
+        assert_eq!(budget_a + budget_b, 100, "the whole budget is granted");
+        assert_eq!(plane.stats().eviction_budget, Some(100));
+    }
+
+    #[test]
+    fn apportion_is_exact_and_floored() {
+        // Spare 94 over shares 3:1 → floors 1,1 then 70,23 +1 remainder.
+        let out = apportion_budget(96, &[1, 1], &[300, 100]);
+        assert_eq!(out.iter().sum::<usize>(), 96);
+        assert!(out[0] > out[1]);
+        assert!(out[1] >= 1);
+        // All-zero shares: even split with front-loaded remainder.
+        assert_eq!(apportion_budget(10, &[1, 1, 1], &[0, 0, 0]), vec![4, 3, 3]);
+        // Budget below the floors: floors win (callers validate first).
+        assert_eq!(apportion_budget(1, &[2, 2], &[0, 0]), vec![2, 2]);
     }
 
     #[test]

@@ -108,3 +108,48 @@ fn admin_endpoint_drives_membership_freeze_and_budget_live() {
     let mut second = AdminClient::connect(&admin);
     assert_eq!(second.command("TENANTS"), "[\"shop\"]");
 }
+
+/// `BUDGET` takes external input: a budget the floors alone would
+/// exceed (one client per worker replica per shard) is refused with
+/// both numbers in the reply and the previous budget left in force — it
+/// is never installed-but-exceeded — and `JOIN` is refused the same way
+/// when the newcomer would push the floors past the installed budget.
+#[test]
+fn under_sized_budgets_are_refused_over_the_wire() {
+    // 2 tenants × 2 shards × 2 workers: the floors need 8 clients.
+    let two_workers = |id: &TenantId, shard: usize| factory(id, shard).workers(2);
+    let plane = ServicePlane::builder()
+        .tenant(TenantId::new("eu"), 2, two_workers)
+        .tenant(TenantId::new("us"), 2, two_workers)
+        .default_factory(two_workers)
+        .build()
+        .unwrap();
+    let admin = AdminServer::bind("127.0.0.1:0", plane).unwrap();
+    let mut client = AdminClient::connect(&admin);
+
+    let refused = client.command("BUDGET 0");
+    assert!(refused.starts_with("ERR "), "{refused}");
+    assert!(
+        refused.contains("budget 0") && refused.contains("at least 8"),
+        "the reply must carry both numbers: {refused}"
+    );
+    assert!(client.command("STATS").contains("\"eviction_budget\":null"));
+
+    assert_eq!(client.command("BUDGET 8"), "OK budget=8 tenants=2");
+    let refused = client.command("BUDGET 7");
+    assert!(
+        refused.starts_with("ERR ") && refused.contains("budget 7") && refused.contains("least 8"),
+        "{refused}"
+    );
+    assert!(client.command("STATS").contains("\"eviction_budget\":8"));
+
+    // A third 1-shard × 2-worker tenant would need 10.
+    let refused = client.command("JOIN late 1");
+    assert!(
+        refused.starts_with("ERR ") && refused.contains("budget 8") && refused.contains("least 10"),
+        "{refused}"
+    );
+    assert_eq!(client.command("TENANTS"), "[\"eu\",\"us\"]");
+    assert_eq!(client.command("BUDGET 10"), "OK budget=10 tenants=2");
+    assert_eq!(client.command("JOIN late 1"), "OK joined late shards=1");
+}

@@ -5,9 +5,8 @@
 //! test releases it — the shard driver wedges mid-chunk, its bounded
 //! queue fills, and its pump blocks. Meanwhile tenant `fluent` streams a
 //! whole log through the same plane and drains, under a wall-clock
-//! bound. With a single shared driver (the `PipelineHub` model) this
-//! scenario deadlocks; the per-tenant shard threads are what make it
-//! pass.
+//! bound. With one driver thread shared by every tenant this scenario
+//! deadlocks; the per-tenant shard threads are what make it pass.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};

@@ -1,8 +1,7 @@
 //! `ServiceStats` aggregation: per-shard merge is exact and the
-//! plane-level aggregates are **monotonic across membership churn** —
-//! the same invariant the hub pins for tenant departure, here with the
-//! extra per-shard layer (a leaving tenant folds every shard's final
-//! counters into the departed totals).
+//! plane-level aggregates are **monotonic across membership churn** (a
+//! leaving tenant folds every shard's final counters into the departed
+//! totals).
 
 use divscrape_detect::{Sentinel, TenantId};
 use divscrape_pipeline::{Adjudication, PipelineBuilder, TriagePolicy};
@@ -131,8 +130,7 @@ fn aggregates_stay_monotonic_across_shard_merge_and_tenant_departure() {
     assert_eq!(s1.eviction_budget, Some(500));
 
     // Tenant departure: the eu tenant leaves mid-service. Its work must
-    // stay in the aggregates (folded departed totals), exactly like the
-    // hub's tenant-departure invariant.
+    // stay in the aggregates (folded departed totals).
     let eu_final = s1
         .tenants
         .iter()

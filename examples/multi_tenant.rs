@@ -1,12 +1,13 @@
 //! Multi-tenant service, end to end: two monitored properties stream
-//! CLF lines in over their own TCP sockets; one process routes each
-//! stream to that tenant's own pipeline (different adjudication rules);
-//! tenant-tagged alerts flow out to one shared TCP collector.
+//! CLF lines in over their own TCP sockets; one process pumps each
+//! stream into that tenant's own pipeline on the service plane
+//! (different adjudication rules); tenant-tagged alerts flow out to one
+//! shared TCP collector.
 //!
 //! ```text
-//! shop-eu socket ─► Tagged ─┐                        ┌─ pipeline[shop-eu] (1oo2) ─► TcpSink ─┐
-//!                           ├─ MultiSource ─► HubDriver                                      ├─► collector
-//! shop-us socket ─► Tagged ─┘                        └─ pipeline[shop-us] (2oo2) ─► TcpSink ─┘
+//! shop-eu socket ─► SourcePump ─┐                ┌─ shard[shop-eu] (1oo2) ─► TcpSink ─┐
+//!                               ├─ ServicePlane ─┤                                    ├─► collector
+//! shop-us socket ─► SourcePump ─┘                └─ shard[shop-us] (2oo2) ─► TcpSink ─┘
 //! ```
 //!
 //! `--smoke` (also the default, and a CI gate): a fully self-driving
@@ -23,11 +24,13 @@
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Instant;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use divscrape_detect::{Arcane, Sentinel};
-use divscrape_ingest::{HubDriver, MultiSource, SocketSource, SocketSourceConfig, Tagged};
-use divscrape_pipeline::{Adjudication, PipelineBuilder, PipelineHub, TcpSink, TenantId};
+use divscrape_ingest::{SocketSource, SocketSourceConfig};
+use divscrape_pipeline::{Adjudication, PipelineBuilder, TcpSink, TenantId};
+use divscrape_service::{PumpMode, ServicePlane, SourcePump};
 use divscrape_traffic::{generate, LabelledLog, ScenarioConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -91,7 +94,7 @@ fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
         Ok(lines)
     });
 
-    // Each tenant has its own ingest socket; the fan-in interleaves.
+    // Each tenant has its own ingest socket and its own pump thread.
     let socket_config = SocketSourceConfig {
         finish_on_disconnect: true,
         ..Default::default()
@@ -114,50 +117,59 @@ fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
         })
     })
     .collect();
-    let mut source = MultiSource::new()
-        .with(Tagged::new(eu.clone(), eu_source))
-        .with(Tagged::new(us.clone(), us_source));
 
-    // The hub: per-tenant calibration. shop-eu alerts on either tool
-    // (union); shop-us only when both tools agree.
+    // The plane: per-tenant calibration. shop-eu alerts on either tool
+    // (union); shop-us only when both tools agree. Each tenant runs one
+    // shard, so its factory runs once and hands over the tenant's
+    // already-connected collector sink.
     let eu_sink = TcpSink::connect(collector_addr)?;
     let us_sink = TcpSink::connect(collector_addr)?;
     let (eu_telemetry, us_telemetry) = (eu_sink.telemetry(), us_sink.telemetry());
-    let two_tool = || {
-        PipelineBuilder::new()
-            .detector(Sentinel::stock())
-            .detector(Arcane::stock())
-            .workers(2)
+    let tenant_factory = |k: u32, sink: TcpSink| {
+        let sink = Mutex::new(Some(sink));
+        move |_: &TenantId, _: usize| {
+            let sink = sink.lock().expect("sink slot").take();
+            PipelineBuilder::new()
+                .detector(Sentinel::stock())
+                .detector(Arcane::stock())
+                .workers(2)
+                .adjudication(Adjudication::k_of_n(k))
+                .sink(sink.expect("one shard per tenant"))
+        }
     };
-    let hub = PipelineHub::builder()
-        .tenant(
-            eu.clone(),
-            two_tool()
-                .adjudication(Adjudication::k_of_n(1))
-                .sink(eu_sink),
-        )
-        .tenant(
-            us.clone(),
-            two_tool()
-                .adjudication(Adjudication::k_of_n(2))
-                .sink(us_sink),
-        )
+    let plane = ServicePlane::builder()
+        .tenant(eu.clone(), 1, tenant_factory(1, eu_sink))
+        .tenant(us.clone(), 1, tenant_factory(2, us_sink))
         .build()?;
 
-    let mut driver = HubDriver::new(hub);
-    let outcome = driver.run(&mut source)?;
-    drop(driver); // closes the TCP sinks → the collector's reads end
+    // Blocking pumps: a full shard queue slows that tenant's socket
+    // down instead of losing lines.
+    let pumps = [
+        SourcePump::spawn(&plane, &eu, eu_source, PumpMode::Blocking),
+        SourcePump::spawn(&plane, &us, us_source, PumpMode::Blocking),
+    ];
     for feeder in feeders {
         feeder.join().expect("feeder panicked")?;
     }
+    let mut lines_read = 0;
+    for pump in pumps {
+        assert!(pump.wait(Duration::from_secs(60)), "pump did not finish");
+        let pumped = pump.stop();
+        assert_eq!(pumped.errors + pumped.truncated, 0, "source trouble");
+        lines_read += pumped.lines;
+    }
+    // One shard per tenant: one report each.
+    let eu_report = plane.drain(&eu).expect("served tenant").remove(0);
+    let us_report = plane.drain(&us).expect("served tenant").remove(0);
+    let stats = plane.stats();
+    plane.shutdown(); // closes the TCP sinks → the collector's reads end
     let received = collecting.join().expect("collector panicked")?;
 
-    let eu_alerts = outcome.report.tenant(&eu).unwrap().combined.count();
-    let us_alerts = outcome.report.tenant(&us).unwrap().combined.count();
+    let eu_alerts = eu_report.combined.count();
+    let us_alerts = us_report.combined.count();
     println!(
-        "ingested {} entries over {} lines in {:?}",
-        outcome.stats.entries_ingested,
-        outcome.stats.lines_read,
+        "ingested {} entries over {lines_read} lines in {:?}",
+        stats.entries_processed,
         started.elapsed(),
     );
     println!(
@@ -171,14 +183,14 @@ fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
 
     // Gate 2: isolation. Each pipeline processed exactly its own
     // tenant's traffic, nothing leaked across.
-    assert_eq!(outcome.hub.unrouted_entries, 0, "stray tenant tags");
+    assert_eq!(stats.unrouted_lines, 0, "stray lines");
     assert_eq!(
-        outcome.report.tenant(&eu).unwrap().requests(),
+        eu_report.requests(),
         eu_log.len(),
         "tenant {eu} did not see exactly its own stream"
     );
     assert_eq!(
-        outcome.report.tenant(&us).unwrap().requests(),
+        us_report.requests(),
         us_log.len(),
         "tenant {us} did not see exactly its own stream"
     );

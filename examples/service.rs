@@ -19,9 +19,8 @@
 //! admin socket observably JOINs, FREEZEs, re-budgets and LEAVEs a
 //! tenant mid-flight.
 //!
-//! `--bench` races a 1-shard plane (one driver thread — the
-//! `PipelineHub` deployment model) against a 4-shard plane over the
-//! same log and appends one record to `BENCH_service.json` in the
+//! `--bench` races a 1-shard plane (one driver thread per tenant)
+//! against a 4-shard plane over the same log and appends one record to `BENCH_service.json` in the
 //! `BENCH_zero_copy.json` trajectory format (see `docs/CI.md`).
 //!
 //! ```text

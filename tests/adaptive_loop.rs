@@ -21,7 +21,8 @@
 //!   [`DriftScenario::scraper_population_shift`] preset (on the member
 //!   whose calibration the shift rots, after the shift), stays silent
 //!   on a stationary log of equal length, and the counts flow through
-//!   [`PipelineStats`] into [`HubStats`] and the service STATS JSON.
+//!   [`PipelineStats`] into the service plane's [`ServiceStats`] and
+//!   STATS JSON.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -29,8 +30,7 @@ use divscrape_detect::baselines::RateLimiter;
 use divscrape_detect::{Arcane, EvictionConfig, Sentinel};
 use divscrape_ensemble::{ConfusionMatrix, DriftAlarm, RecalibrationPolicy, ThresholdPolicy};
 use divscrape_pipeline::{
-    Adjudication, AppliedRuleUpdate, HubBuilder, PipelineBuilder, PipelineReport, RuleProvenance,
-    TenantId,
+    Adjudication, AppliedRuleUpdate, PipelineBuilder, PipelineReport, RuleProvenance, TenantId,
 };
 use divscrape_service::ServicePlane;
 use divscrape_traffic::{
@@ -356,10 +356,10 @@ fn drift_alarms_fire_on_the_shift_and_never_on_stationary_traffic() {
 }
 
 /// The alarm counts flow through every aggregation layer: pipeline
-/// stats into hub stats (surviving tenant removal) and into the
-/// service plane's STATS JSON.
+/// stats into the service plane's typed stats (surviving tenant
+/// removal) and its STATS JSON.
 #[test]
-fn drift_alarm_counts_flow_through_hub_and_service_aggregates() {
+fn drift_alarm_counts_flow_through_service_aggregates() {
     let shifted = DriftScenario::scraper_population_shift(2024, 3_000)
         .generate()
         .unwrap();
@@ -371,25 +371,7 @@ fn drift_alarm_counts_flow_through_hub_and_service_aggregates() {
     let expected = solo.stats().drift_alarms;
     assert!(expected >= 1);
 
-    // Hub: the tenant's alarms surface in the aggregate, and removing
-    // the tenant folds them into the departed baseline instead of
-    // losing them.
     let acme = TenantId::new("acme");
-    let mut hub = HubBuilder::new()
-        .tenant(acme.clone(), trio().recalibration(recalibration()))
-        .build()
-        .unwrap();
-    for entry in shifted.entries() {
-        assert!(hub.push(&acme, entry.clone()));
-    }
-    let _ = hub.drain_all();
-    assert_eq!(hub.stats().drift_alarms, expected);
-    let _ = hub.remove_tenant(&acme);
-    assert_eq!(
-        hub.stats().drift_alarms,
-        expected,
-        "departed tenants keep their alarms on the books"
-    );
 
     // Service plane: same single-shard feed order, surfaced in both the
     // typed stats and the STATS JSON the admin socket serves.

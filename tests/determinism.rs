@@ -1,7 +1,6 @@
 //! Reproducibility: the whole pipeline is a pure function of the seed.
 
 use divscrape::{DiversityStudy, StudyConfig};
-use divscrape_detect::parallel::run_sharded_alerts;
 use divscrape_detect::{run_alerts, Arcane, Detector, Sentinel};
 use divscrape_traffic::{generate, ScenarioConfig};
 
@@ -33,25 +32,6 @@ fn different_seeds_produce_different_traffic_but_the_same_shape() {
         assert!(r.contingency.both > r.contingency.neither);
         assert!(r.contingency.neither > r.contingency.only_first);
         assert!(r.contingency.only_first > r.contingency.only_second);
-    }
-}
-
-#[test]
-fn worker_count_never_changes_verdicts() {
-    let log = generate(&ScenarioConfig::small(99)).unwrap();
-    let sequential_sentinel = run_alerts(&mut Sentinel::stock(), log.entries());
-    let sequential_arcane = run_alerts(&mut Arcane::stock(), log.entries());
-    for workers in [2usize, 3, 5, 8] {
-        assert_eq!(
-            run_sharded_alerts(&Sentinel::stock(), log.entries(), workers),
-            sequential_sentinel,
-            "sentinel diverged at {workers} workers"
-        );
-        assert_eq!(
-            run_sharded_alerts(&Arcane::stock(), log.entries(), workers),
-            sequential_arcane,
-            "arcane diverged at {workers} workers"
-        );
     }
 }
 
