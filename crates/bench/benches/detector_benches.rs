@@ -71,7 +71,7 @@ fn bench_sessionizer(c: &mut Criterion) {
         b.iter(|| {
             let mut s = Sessionizer::default();
             for e in log.entries() {
-                let _ = s.observe(e);
+                let _ = s.observe(&e.view());
             }
             s.active_clients()
         })

@@ -1,6 +1,6 @@
 //! The two benches the ROADMAP asked for on the ingestion side:
 //!
-//! 1. **`observe` vs `observe_batch`** per stock detector — how much the
+//! 1. **`observe` vs `observe_batch_refs`** per stock detector — how much the
 //!    specialized batch hot paths (per-client-run amortization of
 //!    hashing, whitelist checks, signature/reputation lookups) buy over
 //!    the per-entry loop, detector by detector.
@@ -20,6 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use divscrape_bench::scenario_for;
 use divscrape_detect::baselines::{RateLimiter, SignatureOnly};
 use divscrape_detect::{Arcane, Detector, Sentinel, Verdict};
+use divscrape_httplog::{EntryRef, LogEntry};
 use divscrape_ingest::{IngestDriver, Replay, ReplayPace};
 use divscrape_pipeline::{Adjudication, PipelineBuilder};
 use divscrape_traffic::LabelledLog;
@@ -30,22 +31,23 @@ fn log() -> LabelledLog {
     divscrape_traffic::generate(&scenario).unwrap()
 }
 
-/// Benches one detector both ways over the same log: the per-entry
-/// `observe` loop against the specialized `observe_batch` fast path.
+/// Benches one detector both ways over the same views of one log: the
+/// per-entry `observe` loop against the specialized `observe_batch_refs`
+/// fast path.
 fn bench_hot_paths<D: Detector + Clone>(
     c: &mut Criterion,
     name: &str,
     proto: &D,
     log: &LabelledLog,
 ) {
-    let entries = log.entries();
+    let entries: Vec<EntryRef<'_>> = log.entries().iter().map(LogEntry::view).collect();
 
     // The contract the speedup must not break: identical verdicts.
     let mut per_entry = proto.clone();
     let sequential: Vec<Verdict> = entries.iter().map(|e| per_entry.observe(e)).collect();
     let mut batched = proto.clone();
     let mut fast = Vec::new();
-    batched.observe_batch(entries, &mut fast);
+    batched.observe_batch_refs(&entries, &mut fast);
     assert_eq!(sequential, fast, "{name}: batch path diverged");
 
     let mut g = c.benchmark_group(format!("hot_path/{name}"));
@@ -56,18 +58,18 @@ fn bench_hot_paths<D: Detector + Clone>(
             let mut d = proto.clone();
             d.reset();
             let mut alerts = 0usize;
-            for e in entries {
+            for e in &entries {
                 alerts += usize::from(d.observe(e).alert);
             }
             alerts
         })
     });
-    g.bench_function("observe_batch", |b| {
+    g.bench_function("observe_batch_refs", |b| {
         b.iter(|| {
             let mut d = proto.clone();
             d.reset();
             let mut out = Vec::with_capacity(entries.len());
-            d.observe_batch(entries, &mut out);
+            d.observe_batch_refs(&entries, &mut out);
             out.iter().filter(|v| v.alert).count()
         })
     });

@@ -21,7 +21,7 @@ use divscrape_bench::scenario_for;
 use divscrape_detect::parallel::run_index_runs;
 use divscrape_detect::{Arcane, Detector, Sentinel, Sessionizer, Verdict};
 use divscrape_ensemble::{AlertVector, KOutOfN};
-use divscrape_httplog::LogEntry;
+use divscrape_httplog::{EntryRef, LogEntry};
 use divscrape_pipeline::{Adjudication, PipelineBuilder};
 use divscrape_traffic::LabelledLog;
 
@@ -83,22 +83,23 @@ impl ScopedSpawnDriver {
     fn process_chunk(&mut self, chunk: Vec<LogEntry>) {
         let workers = self.crews.len();
         let n_detectors = MEMBER_NAMES.len();
+        let views: Vec<EntryRef<'_>> = chunk.iter().map(LogEntry::view).collect();
 
         let columns: Vec<Vec<Verdict>> = if workers == 1 {
             self.crews[0]
                 .iter_mut()
                 .map(|det| {
                     let mut col = Vec::with_capacity(chunk.len());
-                    det.observe_batch(&chunk, &mut col);
+                    det.observe_batch_refs(&views, &mut col);
                     col
                 })
                 .collect()
         } else {
             let mut shards: Vec<Vec<usize>> = vec![Vec::new(); workers];
-            for (i, e) in chunk.iter().enumerate() {
+            for (i, e) in views.iter().enumerate() {
                 shards[Sessionizer::shard_of(&e.client_key(), workers)].push(i);
             }
-            let chunk_ref = &chunk;
+            let chunk_ref = &views;
             let results: Vec<Vec<Vec<(usize, Verdict)>>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .crews

@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use divscrape_detect::baselines::{RateLimiter, SignatureOnly};
 use divscrape_detect::triage::{TriageFilter, TriagePolicy};
 use divscrape_detect::{Arcane, FastTriage, Sentinel, TrapDetector};
-use divscrape_httplog::LogEntry;
+use divscrape_httplog::EntryRef;
 use divscrape_pipeline::{Adjudication, Pipeline, PipelineBuilder};
 use divscrape_traffic::generate;
 
@@ -61,9 +61,9 @@ fn build_pipeline(triage: bool) -> Pipeline {
 
 fn bench_triage(c: &mut Criterion) {
     let lines = lines();
-    let entries: Vec<LogEntry> = lines
+    let entries: Vec<EntryRef<'_>> = lines
         .iter()
-        .map(|l| LogEntry::parse(l).expect("generated line parses"))
+        .map(|l| EntryRef::parse(l).expect("generated line parses"))
         .collect();
 
     let mut g = c.benchmark_group("triage");

@@ -20,7 +20,7 @@ pub use config::ArcaneConfig;
 
 use std::collections::BTreeMap;
 
-use divscrape_httplog::{AgentFamily, EntryRef, EntryView, LogEntry};
+use divscrape_httplog::{AgentFamily, EntryRef};
 
 use crate::session::{SessionFeatures, Sessionizer, SessionizerConfig};
 use crate::{Detector, Verdict};
@@ -88,7 +88,7 @@ impl Arcane {
             .collect()
     }
 
-    fn is_whitelisted<E: EntryView>(&self, entry: &E) -> bool {
+    fn is_whitelisted(&self, entry: &EntryRef<'_>) -> bool {
         if !self.cfg.enable_whitelist {
             return false;
         }
@@ -98,36 +98,6 @@ impl Arcane {
             entry.agent_family(),
             AgentFamily::KnownCrawler | AgentFamily::Monitor
         ) || entry.ua_str().starts_with(PARTNER_UA_PREFIX)
-    }
-
-    /// The batch engine shared by the owned and borrowed batch paths —
-    /// generic over [`EntryView`], so both produce identical verdicts by
-    /// construction. Whitelisting, the key hash and the agent-family
-    /// classification are identity-derived: once per client run.
-    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
-        out.reserve(entries.len());
-        for run in crate::detector::client_runs(entries) {
-            let first = &run[0];
-
-            if self.is_whitelisted(first) {
-                out.extend(std::iter::repeat_n(Verdict::CLEAR, run.len()));
-                continue;
-            }
-            let key = first.client_key();
-            let family = first.agent_family();
-
-            for entry in run {
-                let features = self.sessions.observe_with_key(key, entry);
-                let (score, hits) = Self::score(&self.cfg, features, family);
-                let alert = score >= self.cfg.alert_threshold;
-                if alert {
-                    for rule in hits.iter() {
-                        self.hit_counts[rule] += 1;
-                    }
-                }
-                out.push(Verdict::new(alert, score as f32));
-            }
-        }
     }
 
     /// Scores the session this entry belongs to (after incorporating it).
@@ -250,11 +220,11 @@ impl Detector for Arcane {
         "arcane"
     }
 
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
         if self.is_whitelisted(entry) {
             return Verdict::CLEAR;
         }
-        let family = entry.user_agent().family();
+        let family = entry.agent_family();
         let features = self.sessions.observe(entry);
         let (score, hits) = Self::score(&self.cfg, features, family);
         let alert = score >= self.cfg.alert_threshold;
@@ -266,12 +236,32 @@ impl Detector for Arcane {
         Verdict::new(alert, score as f32)
     }
 
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
+    /// Whitelisting, the key hash and the agent-family classification are
+    /// identity-derived: once per client run.
     fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
+        out.reserve(entries.len());
+        for run in crate::detector::client_runs(entries) {
+            let first = &run[0];
+
+            if self.is_whitelisted(first) {
+                out.extend(std::iter::repeat_n(Verdict::CLEAR, run.len()));
+                continue;
+            }
+            let key = first.client_key();
+            let family = first.agent_family();
+
+            for entry in run {
+                let features = self.sessions.observe_with_key(key, entry);
+                let (score, hits) = Self::score(&self.cfg, features, family);
+                let alert = score >= self.cfg.alert_threshold;
+                if alert {
+                    for rule in hits.iter() {
+                        self.hit_counts[rule] += 1;
+                    }
+                }
+                out.push(Verdict::new(alert, score as f32));
+            }
+        }
     }
 
     fn reset(&mut self) {
@@ -298,7 +288,7 @@ impl Default for Arcane {
 mod tests {
     use super::*;
     use crate::detector::run_alerts;
-    use divscrape_httplog::{ClfTimestamp, HttpStatus};
+    use divscrape_httplog::{ClfTimestamp, HttpStatus, LogEntry};
     use std::net::Ipv4Addr;
 
     const BROWSER: &str =
@@ -319,7 +309,7 @@ mod tests {
     #[test]
     fn tool_agents_alert_from_the_first_request() {
         let mut a = Arcane::stock();
-        let v = a.observe(&entry(0, "/search?q=x", 200, "python-requests/2.18.4"));
+        let v = a.observe(&entry(0, "/search?q=x", 200, "python-requests/2.18.4").view());
         assert!(v.alert);
         assert!(a.rule_hits().contains_key("tool_agent"));
     }
@@ -330,7 +320,7 @@ mod tests {
         let mut tripped_at = None;
         for i in 0..20 {
             // Slow enough that rate rules stay silent.
-            let v = a.observe(&entry(i * 30, &format!("/offers/{i}"), 200, BROWSER));
+            let v = a.observe(&entry(i * 30, &format!("/offers/{i}"), 200, BROWSER).view());
             if v.alert && tripped_at.is_none() {
                 tripped_at = Some(i + 1);
             }
@@ -343,9 +333,9 @@ mod tests {
     fn asset_fetching_clients_do_not_starve() {
         let mut a = Arcane::stock();
         for i in 0..30 {
-            let v = a.observe(&entry(i * 60, &format!("/offers/{i}"), 200, BROWSER));
+            let v = a.observe(&entry(i * 60, &format!("/offers/{i}"), 200, BROWSER).view());
             assert!(!v.alert, "page {i}");
-            let v = a.observe(&entry(i * 60 + 2, "/static/css/main.css", 200, BROWSER));
+            let v = a.observe(&entry(i * 60 + 2, "/static/css/main.css", 200, BROWSER).view());
             assert!(!v.alert);
         }
     }
@@ -364,7 +354,9 @@ mod tests {
             } else {
                 ("/static/css/main.css".to_owned(), 200)
             };
-            alerted |= a.observe(&entry(i * 20, &path, status, BROWSER)).alert;
+            alerted |= a
+                .observe(&entry(i * 20, &path, status, BROWSER).view())
+                .alert;
         }
         assert!(alerted, "beacon anomaly should trip");
         assert!(a.rule_hits().contains_key("beacon_anomaly"));
@@ -382,7 +374,7 @@ mod tests {
             } else {
                 "/static/img/hero.jpg".to_owned()
             };
-            let v = a.observe(&entry(i, &path, 200, BROWSER));
+            let v = a.observe(&entry(i, &path, 200, BROWSER).view());
             if v.alert && alerted_at.is_none() {
                 alerted_at = Some(i);
             }
@@ -397,7 +389,7 @@ mod tests {
     #[test]
     fn probe_paths_alert_immediately() {
         let mut a = Arcane::stock();
-        let v = a.observe(&entry(0, "/wp-admin/setup.php", 404, BROWSER));
+        let v = a.observe(&entry(0, "/wp-admin/setup.php", 404, BROWSER).view());
         assert!(v.alert);
         assert!(a.rule_hits().contains_key("probe_path"));
     }
@@ -408,12 +400,9 @@ mod tests {
         let mut a = Arcane::stock();
         for (i, ua) in [GOOGLEBOT, PINGDOM, PARTNER_AGGREGATOR].iter().enumerate() {
             for j in 0..30 {
-                let v = a.observe(&entry(
-                    (i as i64) * 10_000 + j,
-                    &format!("/offers/{j}"),
-                    200,
-                    ua,
-                ));
+                let v = a.observe(
+                    &entry((i as i64) * 10_000 + j, &format!("/offers/{j}"), 200, ua).view(),
+                );
                 assert!(!v.alert, "{ua} alerted");
             }
         }
@@ -424,7 +413,7 @@ mod tests {
         let mut a = Arcane::stock();
         for i in 0..15 {
             let base = i * 45;
-            let v = a.observe(&entry(base, &format!("/offers/{i}"), 200, BROWSER));
+            let v = a.observe(&entry(base, &format!("/offers/{i}"), 200, BROWSER).view());
             assert!(!v.alert, "page {i} alerted");
             for j in 0..3 {
                 let asset = [
@@ -432,7 +421,7 @@ mod tests {
                     "/static/js/app.js",
                     "/static/img/x.jpg",
                 ][j];
-                let v = a.observe(&entry(base + 1 + j as i64, asset, 200, BROWSER));
+                let v = a.observe(&entry(base + 1 + j as i64, asset, 200, BROWSER).view());
                 assert!(!v.alert);
             }
         }
@@ -442,10 +431,10 @@ mod tests {
     fn session_timeout_resets_the_score() {
         let mut a = Arcane::stock();
         for i in 0..12 {
-            a.observe(&entry(i * 30, &format!("/offers/{i}"), 200, BROWSER));
+            a.observe(&entry(i * 30, &format!("/offers/{i}"), 200, BROWSER).view());
         }
         // Next request far beyond the 30-minute timeout: fresh session.
-        let v = a.observe(&entry(12 * 30 + 7_200, "/offers/99", 200, BROWSER));
+        let v = a.observe(&entry(12 * 30 + 7_200, "/offers/99", 200, BROWSER).view());
         assert!(!v.alert, "new session inherited stale score");
     }
 
@@ -454,7 +443,7 @@ mod tests {
         let cfg = ArcaneConfig::default().without("asset_starvation");
         let mut a = Arcane::new(cfg);
         for i in 0..25 {
-            let v = a.observe(&entry(i * 30, &format!("/offers/{i}"), 200, BROWSER));
+            let v = a.observe(&entry(i * 30, &format!("/offers/{i}"), 200, BROWSER).view());
             assert!(!v.alert, "alerted at {i} without the starvation rule");
         }
     }

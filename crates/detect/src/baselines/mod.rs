@@ -31,7 +31,7 @@ pub use naive_bayes::NaiveBayes;
 pub use rate_limiter::RateLimiter;
 pub use signature_only::SignatureOnly;
 
-use divscrape_httplog::{EntryRef, EntryView, LogEntry};
+use divscrape_httplog::EntryRef;
 use divscrape_traffic::LabelledLog;
 
 use crate::session::{Sessionizer, SessionizerConfig};
@@ -61,7 +61,7 @@ impl TrainingSet {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for (i, (entry, truth)) in log.iter().enumerate() {
-            let features = sessions.observe(entry);
+            let features = sessions.observe(&entry.view());
             if i % stride == 0 {
                 xs.push(features.feature_vector());
                 ys.push(truth.is_malicious());
@@ -149,22 +149,11 @@ impl<M: SessionModel> SessionModelDetector<M> {
 
     /// The per-entry step with the client key precomputed: fold the entry
     /// into its session and score the session's features.
-    fn observe_keyed<E: EntryView>(&mut self, key: ClientKey, entry: &E) -> Verdict {
+    fn observe_keyed(&mut self, key: ClientKey, entry: &EntryRef<'_>) -> Verdict {
         let features = self.sessions.observe_with_key(key, entry);
         let enough = features.requests >= self.min_requests;
         let score = self.model.score(&features.feature_vector());
         Verdict::new(enough && score >= self.threshold, score as f32)
-    }
-
-    /// The shared hot path, generic over owned and borrowed entries.
-    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
-        out.reserve(entries.len());
-        for run in crate::detector::client_runs(entries) {
-            // One key hash per client run; the sessionizer and model still
-            // see every entry.
-            let key = run[0].client_key();
-            out.extend(run.iter().map(|entry| self.observe_keyed(key, entry)));
-        }
     }
 }
 
@@ -173,16 +162,18 @@ impl<M: SessionModel> Detector for SessionModelDetector<M> {
         self.model.model_name()
     }
 
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
         self.observe_keyed(entry.client_key(), entry)
     }
 
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
     fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
+        out.reserve(entries.len());
+        for run in crate::detector::client_runs(entries) {
+            // One key hash per client run; the sessionizer and model still
+            // see every entry.
+            let key = run[0].client_key();
+            out.extend(run.iter().map(|entry| self.observe_keyed(key, entry)));
+        }
     }
 
     fn reset(&mut self) {

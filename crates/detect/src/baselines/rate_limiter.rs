@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use divscrape_httplog::{EntryRef, EntryView, LogEntry};
+use divscrape_httplog::EntryRef;
 
 use crate::evict::{ClientStateTable, EvictionConfig, EvictionStats};
 use crate::{ClientKey, Detector, Verdict};
@@ -43,9 +43,25 @@ impl RateLimiter {
         let (window, _) = self.windows.upsert_with(key, ts, VecDeque::new);
         slide_and_score(window, ts, self.threshold_per_min)
     }
+}
 
-    /// The shared hot path, generic over owned and borrowed entries.
-    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
+impl Default for RateLimiter {
+    /// 60 requests/minute — a common production default.
+    fn default() -> Self {
+        Self::new(60)
+    }
+}
+
+impl Detector for RateLimiter {
+    fn name(&self) -> &str {
+        "rate-limiter"
+    }
+
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
+        self.observe_keyed(entry.client_key(), entry.epoch_seconds())
+    }
+
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
         out.reserve(entries.len());
         let evicting = !self.windows.config().is_disabled();
         for run in crate::detector::client_runs(entries) {
@@ -68,31 +84,6 @@ impl RateLimiter {
                 out.push(slide_and_score(window, ts, self.threshold_per_min));
             }
         }
-    }
-}
-
-impl Default for RateLimiter {
-    /// 60 requests/minute — a common production default.
-    fn default() -> Self {
-        Self::new(60)
-    }
-}
-
-impl Detector for RateLimiter {
-    fn name(&self) -> &str {
-        "rate-limiter"
-    }
-
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        self.observe_keyed(entry.client_key(), entry.timestamp().epoch_seconds())
-    }
-
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
-    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {
@@ -127,7 +118,7 @@ fn slide_and_score(window: &mut VecDeque<i64>, ts: i64, threshold: u32) -> Verdi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use divscrape_httplog::{ClfTimestamp, HttpStatus};
+    use divscrape_httplog::{ClfTimestamp, HttpStatus, LogEntry};
     use std::net::Ipv4Addr;
 
     fn entry(secs: i64) -> LogEntry {
@@ -145,30 +136,30 @@ mod tests {
     fn trips_exactly_at_the_threshold() {
         let mut rl = RateLimiter::new(10);
         for i in 0..9 {
-            assert!(!rl.observe(&entry(i)).alert, "request {i}");
+            assert!(!rl.observe(&entry(i).view()).alert, "request {i}");
         }
-        assert!(rl.observe(&entry(9)).alert);
+        assert!(rl.observe(&entry(9).view()).alert);
     }
 
     #[test]
     fn window_slides() {
         let mut rl = RateLimiter::new(10);
         for i in 0..9 {
-            rl.observe(&entry(i));
+            rl.observe(&entry(i).view());
         }
         // 61 seconds later the window has drained; no alert.
-        assert!(!rl.observe(&entry(70)).alert);
+        assert!(!rl.observe(&entry(70).view()).alert);
     }
 
     #[test]
     fn score_is_proportional_to_rate() {
         let mut rl = RateLimiter::new(10);
-        let v = rl.observe(&entry(0));
+        let v = rl.observe(&entry(0).view());
         assert!((v.score - 0.1).abs() < 1e-6);
         for i in 1..5 {
-            rl.observe(&entry(i));
+            rl.observe(&entry(i).view());
         }
-        let v = rl.observe(&entry(5));
+        let v = rl.observe(&entry(5).view());
         assert!((v.score - 0.6).abs() < 1e-6);
     }
 

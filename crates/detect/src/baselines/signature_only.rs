@@ -1,6 +1,6 @@
 //! The signature-only baseline.
 
-use divscrape_httplog::{EntryRef, EntryView, LogEntry};
+use divscrape_httplog::EntryRef;
 
 use crate::sentinel::SignatureEngine;
 use crate::{Detector, Verdict};
@@ -27,9 +27,25 @@ impl SignatureOnly {
     pub fn with_engine(engine: SignatureEngine) -> Self {
         Self { engine }
     }
+}
 
-    /// The shared hot path, generic over owned and borrowed entries.
-    fn batch_core<E: EntryView>(&self, entries: &[E], out: &mut Vec<Verdict>) {
+impl Detector for SignatureOnly {
+    fn name(&self) -> &str {
+        "signature-only"
+    }
+
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
+        if self
+            .engine
+            .matches_parts(entry.agent_family(), entry.ua_str())
+        {
+            Verdict::ALERT
+        } else {
+            Verdict::CLEAR
+        }
+    }
+
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
         out.reserve(entries.len());
         for run in crate::detector::client_runs(entries) {
             // The verdict is a pure function of the user agent, so one
@@ -45,28 +61,6 @@ impl SignatureOnly {
             };
             out.extend(std::iter::repeat_n(verdict, run.len()));
         }
-    }
-}
-
-impl Detector for SignatureOnly {
-    fn name(&self) -> &str {
-        "signature-only"
-    }
-
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        if self.engine.matches(entry.user_agent()) {
-            Verdict::ALERT
-        } else {
-            Verdict::CLEAR
-        }
-    }
-
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
-    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {}

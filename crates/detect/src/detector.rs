@@ -2,18 +2,19 @@
 //!
 //! Both tools in the paper — and every baseline here — consume the same
 //! stream of access-log records and decide, per HTTP request, whether to
-//! alert. That per-request decision is exactly what the paper counts in its
-//! tables, so the one *required* decision method is minimal: observe one
-//! entry, return a [`Verdict`]. Two batch methods ride on top of it —
-//! [`observe_batch`](Detector::observe_batch) over owned entries and
-//! [`observe_batch_refs`](Detector::observe_batch_refs) over the pipeline's
-//! borrowed [`EntryRef`]s — with defaults that are always correct but not
-//! free: every stock detector overrides both as one-line forwards to a
-//! single `batch_core<E: EntryView>`, and a detector meant for a
-//! line-fed pipeline should do the same (see `observe_batch_refs` for
-//! what the default costs, `examples/custom_detector.rs` for the pattern).
+//! alert. Diversity lives in the detectors, not in how a record is held
+//! in memory: every detector reads one representation, the borrowed
+//! [`EntryRef`] view, whether it came from a parsed line, an owned
+//! [`LogEntry`] or a pipeline's chunk arena. The per-request decision is
+//! exactly what the paper counts in its tables, so the one *required*
+//! decision method is minimal: [`observe`](Detector::observe) one entry,
+//! return a [`Verdict`]. [`observe_batch_refs`](Detector::observe_batch_refs)
+//! rides on top of it with a default that loops — correct and
+//! allocation-free for any detector; the stock detectors override it to
+//! amortize per-client work over runs of same-client entries (see
+//! `examples/custom_detector.rs` for the pattern).
 
-use divscrape_httplog::{EntryRef, EntryView, LogEntry};
+use divscrape_httplog::{EntryRef, LogEntry};
 
 use crate::evict::{EvictionConfig, EvictionStats};
 
@@ -83,7 +84,7 @@ impl Verdict {
 ///
 /// ```
 /// use divscrape_detect::{Detector, Verdict};
-/// use divscrape_httplog::LogEntry;
+/// use divscrape_httplog::EntryRef;
 ///
 /// /// Alerts on every request whose user agent is empty.
 /// #[derive(Debug, Clone, Default)]
@@ -93,8 +94,8 @@ impl Verdict {
 ///     fn name(&self) -> &str {
 ///         "no-agent"
 ///     }
-///     fn observe(&mut self, entry: &LogEntry) -> Verdict {
-///         Verdict::new(entry.user_agent().is_empty(), 0.0)
+///     fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
+///         Verdict::new(entry.ua_str().is_empty(), 0.0)
 ///     }
 ///     fn reset(&mut self) {}
 /// }
@@ -104,10 +105,10 @@ pub trait Detector {
     fn name(&self) -> &str;
 
     /// Consumes one log entry and returns the tool's verdict for it.
-    fn observe(&mut self, entry: &LogEntry) -> Verdict;
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict;
 
     /// Consumes a batch of log entries, appending one verdict per entry to
-    /// `out` in order.
+    /// `out` in order — what the pipeline's workers and [`run`] call.
     ///
     /// The default implementation loops over [`observe`](Self::observe);
     /// detectors with per-entry overheads worth amortizing (hashing, state
@@ -117,34 +118,11 @@ pub trait Detector {
     /// exactly the verdicts a sequential `observe` loop would. The
     /// equivalence tests in this crate hold every stock detector to that
     /// contract.
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
         out.reserve(entries.len());
         for entry in entries {
             out.push(self.observe(entry));
         }
-    }
-
-    /// Consumes a batch of **borrowed** entries ([`EntryRef`]), appending
-    /// one verdict per entry to `out` in order — the zero-copy twin of
-    /// [`observe_batch`](Self::observe_batch), fed by the pipeline's
-    /// arena-backed hot path.
-    ///
-    /// The default implementation materializes owned [`LogEntry`]s and
-    /// delegates, so every detector is correct out of the box — at the
-    /// price of one full re-parse of the retained line and ~3 heap
-    /// allocations **per entry**, an order of magnitude more than the set
-    /// probe or window slide a cheap detector actually does. Every stock
-    /// detector (Sentinel, Arcane, the honeytrap, the rate limiter, the
-    /// signature-only baseline and the three session-model baselines)
-    /// overrides it, forwarding to the same `batch_core<E: EntryView>`
-    /// its `observe_batch` uses, so no in-tree composition reaches this
-    /// default; it exists for third-party detectors that implement only
-    /// [`observe`](Self::observe). Overrides carry the same contract as
-    /// `observe_batch`: verdicts must be exactly what the owned path
-    /// would produce for the same lines, in any batching.
-    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        let owned: Vec<LogEntry> = entries.iter().map(EntryRef::to_entry).collect();
-        self.observe_batch(&owned, out);
     }
 
     /// Clears all accumulated state, as if freshly constructed.
@@ -172,12 +150,8 @@ impl<D: Detector + ?Sized> Detector for Box<D> {
         (**self).name()
     }
 
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
         (**self).observe(entry)
-    }
-
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        (**self).observe_batch(entries, out)
     }
 
     fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
@@ -202,12 +176,8 @@ impl<D: Detector + ?Sized> Detector for &mut D {
         (**self).name()
     }
 
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
         (**self).observe(entry)
-    }
-
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        (**self).observe_batch(entries, out)
     }
 
     fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
@@ -230,11 +200,11 @@ impl<D: Detector + ?Sized> Detector for &mut D {
 /// Length of the longest prefix of `entries` coming from a single client
 /// (same address and user-agent string).
 ///
-/// The stock detectors' `observe_batch` implementations amortize per-client
-/// work — key hashing, whitelist checks, signature and reputation lookups,
+/// The stock detectors' batch overrides amortize per-client work — key
+/// hashing, whitelist checks, signature and reputation lookups,
 /// state-table probes — over such runs, which real access logs are full of
 /// (bots burst, page views tow their asset fetches).
-pub(crate) fn client_span<E: EntryView>(entries: &[E]) -> usize {
+pub(crate) fn client_span(entries: &[EntryRef<'_>]) -> usize {
     let Some(first) = entries.first() else {
         return 0;
     };
@@ -247,10 +217,12 @@ pub(crate) fn client_span<E: EntryView>(entries: &[E]) -> usize {
 }
 
 /// Splits `entries` into maximal single-client runs (see [`client_span`]),
-/// in order. The shared skeleton of every specialized `observe_batch`:
+/// in order. The shared skeleton of every specialized batch override:
 /// detectors iterate the runs and hoist their client-constant work out of
 /// the per-entry loop.
-pub(crate) fn client_runs<E: EntryView>(entries: &[E]) -> impl Iterator<Item = &[E]> {
+pub(crate) fn client_runs<'a, 's>(
+    entries: &'a [EntryRef<'s>],
+) -> impl Iterator<Item = &'a [EntryRef<'s>]> {
     let mut rest = entries;
     std::iter::from_fn(move || {
         if rest.is_empty() {
@@ -264,11 +236,13 @@ pub(crate) fn client_runs<E: EntryView>(entries: &[E]) -> impl Iterator<Item = &
 
 /// Runs a detector over an entire log, returning one verdict per entry.
 ///
-/// Routes through [`Detector::observe_batch`], so detectors with a
-/// specialized batch path get it automatically.
+/// Views every entry once ([`LogEntry::view`]) and routes through
+/// [`Detector::observe_batch_refs`], so detectors with a specialized
+/// batch path get it automatically.
 pub fn run<D: Detector + ?Sized>(detector: &mut D, entries: &[LogEntry]) -> Vec<Verdict> {
-    let mut out = Vec::with_capacity(entries.len());
-    detector.observe_batch(entries, &mut out);
+    let views: Vec<EntryRef<'_>> = entries.iter().map(LogEntry::view).collect();
+    let mut out = Vec::with_capacity(views.len());
+    detector.observe_batch_refs(&views, &mut out);
     out
 }
 
@@ -294,7 +268,7 @@ mod tests {
         fn name(&self) -> &str {
             "counting"
         }
-        fn observe(&mut self, _entry: &LogEntry) -> Verdict {
+        fn observe(&mut self, _entry: &EntryRef<'_>) -> Verdict {
             self.seen += 1;
             Verdict::new(self.seen.is_multiple_of(2), self.seen as f32)
         }
@@ -354,9 +328,10 @@ mod tests {
         assert_eq!(second.last().unwrap().score, log.len() as f32);
 
         // And a &mut works through the batch path as well.
+        let views: Vec<EntryRef<'_>> = log.entries().iter().map(LogEntry::view).collect();
         let mut fresh = CountingDetector::default();
         let mut out = Vec::new();
-        Detector::observe_batch(&mut (&mut fresh), log.entries(), &mut out);
+        Detector::observe_batch_refs(&mut (&mut fresh), &views, &mut out);
         assert_eq!(out.len(), log.len());
         assert_eq!(fresh.seen, log.len() as u64);
     }
@@ -364,20 +339,21 @@ mod tests {
     #[test]
     fn default_observe_batch_loops_in_order() {
         let log = generate(&ScenarioConfig::tiny(5)).unwrap();
+        let views: Vec<EntryRef<'_>> = log.entries().iter().map(LogEntry::view).collect();
         let mut det = CountingDetector::default();
         let mut out = Vec::new();
-        det.observe_batch(&log.entries()[..10], &mut out);
-        det.observe_batch(&log.entries()[10..], &mut out);
+        det.observe_batch_refs(&views[..10], &mut out);
+        det.observe_batch_refs(&views[10..], &mut out);
         assert_eq!(out.len(), log.len());
         let mut again = CountingDetector::default();
-        let reference: Vec<Verdict> = log.entries().iter().map(|e| again.observe(e)).collect();
+        let reference: Vec<Verdict> = views.iter().map(|e| again.observe(e)).collect();
         assert_eq!(out, reference);
     }
 
     #[test]
     fn client_span_groups_same_client_prefixes() {
         let log = generate(&ScenarioConfig::tiny(6)).unwrap();
-        let entries = log.entries();
+        let entries: Vec<EntryRef<'_>> = log.entries().iter().map(LogEntry::view).collect();
         let mut i = 0;
         let mut spans = 0usize;
         while i < entries.len() {
@@ -396,7 +372,7 @@ mod tests {
             spans += 1;
         }
         assert!(spans < entries.len(), "log should contain client bursts");
-        assert_eq!(client_span::<LogEntry>(&[]), 0);
+        assert_eq!(client_span(&[]), 0);
     }
 
     #[test]

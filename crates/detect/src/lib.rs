@@ -17,23 +17,25 @@
 //!
 //! All detectors implement the streaming [`Detector`] trait: one
 //! [`Verdict`] per HTTP request — exactly the unit the paper's tables
-//! count — delivered either one entry at a time ([`Detector::observe`]) or
-//! over a batch ([`Detector::observe_batch`]). Every stock detector ships
-//! a specialized batch path that amortizes its per-entry identity work
+//! count. They all read the same record representation, the borrowed
+//! [`EntryRef`](divscrape_httplog::EntryRef) view, delivered either one
+//! entry at a time ([`Detector::observe`]) or over a batch
+//! ([`Detector::observe_batch_refs`]). Every stock detector ships a
+//! specialized batch path that amortizes its per-entry identity work
 //! (user-agent hashing, whitelist checks, signature and reputation
 //! lookups, state-table probes) over runs of same-client entries, with
-//! verdicts guaranteed identical to the per-entry loop. [`run`] routes
-//! through it automatically, and the `divscrape-pipeline` worker pool
-//! spreads any detector across client-sharded worker threads with
-//! verdict-identical output (the [`parallel`] module is its per-shard
-//! scatter kernel).
+//! verdicts guaranteed identical to the per-entry loop. [`run`] views an
+//! owned log once and routes through it automatically, and the
+//! `divscrape-pipeline` worker pool spreads any detector across
+//! client-sharded worker threads with verdict-identical output (the
+//! [`parallel`] module is its per-shard scatter kernel).
 //!
-//! Detectors compose: [`Committee`] adjudicates any member set online
-//! behind the same trait, `Detector` is implemented for `Box<D>` and
-//! `&mut D` so members can be owned or borrowed, and the
-//! `divscrape-pipeline` crate builds full streaming deployments
-//! (incremental ingestion, client-sharded workers, alert sinks) on top of
-//! this trait.
+//! Detectors compose in the `divscrape-pipeline` crate: `Detector` is
+//! implemented for `Box<D>` and `&mut D` so members can be owned or
+//! borrowed, and a `PipelineBuilder` with a k-out-of-n adjudication is
+//! the deployable committee — incremental ingestion, client-sharded
+//! workers, per-member alert columns and alert sinks on top of this
+//! trait.
 //!
 //! For long-running streams, every stateful stock detector can bound its
 //! per-client tables with TTL and LRU-capacity eviction (the [`evict`]
@@ -51,22 +53,24 @@
 //! # Streaming quickstart
 //!
 //! ```
-//! use divscrape_detect::{run_alerts, Committee, Detector, Sentinel};
+//! use divscrape_detect::{run_alerts, Detector, Sentinel};
+//! use divscrape_httplog::{EntryRef, LogEntry};
 //! use divscrape_traffic::{generate, ScenarioConfig};
 //!
 //! let log = generate(&ScenarioConfig::tiny(2018))?;
 //!
 //! // Entries arrive over time; feed them in whatever batches show up.
 //! // Batch boundaries never change a verdict.
-//! let mut committee = Committee::stock_pair(1); // sentinel OR arcane
+//! let mut sentinel = Sentinel::stock();
 //! let mut verdicts = Vec::new();
 //! for batch in log.entries().chunks(500) {
-//!     committee.observe_batch(batch, &mut verdicts);
+//!     let views: Vec<EntryRef<'_>> = batch.iter().map(LogEntry::view).collect();
+//!     sentinel.observe_batch_refs(&views, &mut verdicts);
 //! }
 //! let alerts = verdicts.iter().filter(|v| v.alert).count();
 //!
-//! // Identical to a per-entry offline run of the same pair.
-//! let offline = run_alerts(&mut Committee::stock_pair(1), log.entries());
+//! // Identical to an offline run over the whole log.
+//! let offline = run_alerts(&mut Sentinel::stock(), log.entries());
 //! assert_eq!(alerts, offline.iter().filter(|a| **a).count());
 //! # Ok::<(), String>(())
 //! ```
@@ -97,7 +101,6 @@
 
 mod arcane;
 pub mod baselines;
-mod committee;
 mod detector;
 pub mod evict;
 pub mod parallel;
@@ -108,7 +111,6 @@ mod trap;
 pub mod triage;
 
 pub use arcane::{Arcane, ArcaneConfig};
-pub use committee::Committee;
 pub use detector::{run, run_alerts, Detector, Verdict};
 pub use evict::{ClientStateTable, EvictionConfig, EvictionStats, StateTable, TenantStateTable};
 pub use sentinel::{ReputationFeed, Sentinel, SentinelConfig, SentinelSignal, SignatureEngine};

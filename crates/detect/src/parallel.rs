@@ -10,50 +10,23 @@
 //! and returns `(original_index, verdict)` pairs, so the executor can write
 //! verdicts back to the entries' original positions — output bit-identical
 //! to a sequential run. Within a shard, maximal runs of consecutive entries
-//! are fed through [`Detector::observe_batch`], so detectors with a
+//! are fed through [`Detector::observe_batch_refs`], so detectors with a
 //! specialized batch path keep it under sharding.
 
-use divscrape_httplog::{EntryRef, LogEntry};
+use divscrape_httplog::EntryRef;
 
 use crate::{Detector, Verdict};
 
-/// Feeds one shard's (sorted) entry indices through the detector, batching
-/// each maximal run of consecutive indices so the detector's
-/// [`observe_batch`](Detector::observe_batch) fast path applies. Returns
-/// `(original_index, verdict)` pairs.
+/// Feeds one shard's (sorted) indices into `entries` — a chunk's
+/// [`EntryRef`] views — through the detector, batching each maximal run
+/// of consecutive indices so the detector's
+/// [`observe_batch_refs`](Detector::observe_batch_refs) fast path applies.
+/// Returns `(original_index, verdict)` pairs.
 ///
 /// This is the scatter/gather kernel of the `divscrape-pipeline`
 /// persistent worker pool — any executor that partitions a log by client
 /// and needs verdicts back in original positions.
 pub fn run_index_runs<D: Detector + ?Sized>(
-    det: &mut D,
-    entries: &[LogEntry],
-    indices: &[usize],
-) -> Vec<(usize, Verdict)> {
-    let mut out = Vec::with_capacity(indices.len());
-    let mut buf = Vec::new();
-    let mut pos = 0;
-    while pos < indices.len() {
-        let start = indices[pos];
-        let mut end = pos + 1;
-        while end < indices.len() && indices[end] == indices[end - 1] + 1 {
-            end += 1;
-        }
-        buf.clear();
-        det.observe_batch(&entries[start..start + (end - pos)], &mut buf);
-        out.extend(buf.drain(..).enumerate().map(|(k, v)| (start + k, v)));
-        pos = end;
-    }
-    out
-}
-
-/// The borrowed twin of [`run_index_runs`]: feeds one shard's (sorted)
-/// indices into `entries` — a chunk's [`EntryRef`] views — through the
-/// detector via [`observe_batch_refs`](Detector::observe_batch_refs),
-/// batching maximal runs of consecutive indices. Returns
-/// `(original_index, verdict)` pairs. Used by the `divscrape-pipeline`
-/// worker pool's zero-copy path.
-pub fn run_index_runs_refs<D: Detector + ?Sized>(
     det: &mut D,
     entries: &[EntryRef<'_>],
     indices: &[usize],

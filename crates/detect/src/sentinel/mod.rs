@@ -30,7 +30,7 @@ pub use signature::SignatureEngine;
 
 use std::collections::{BTreeMap, VecDeque};
 
-use divscrape_httplog::{AgentFamily, EntryRef, EntryView, LogEntry, ResourceClass};
+use divscrape_httplog::{AgentFamily, EntryRef, ResourceClass};
 use divscrape_traffic::network::{self, IpPool};
 
 use crate::evict::{ClientStateTable, EvictionConfig, EvictionStats};
@@ -157,7 +157,7 @@ impl Sentinel {
         &self.trip_counts
     }
 
-    fn is_whitelisted<E: EntryView>(&self, entry: &E) -> bool {
+    fn is_whitelisted(&self, entry: &EntryRef<'_>) -> bool {
         if !self.cfg.enable_whitelist {
             return false;
         }
@@ -176,10 +176,10 @@ impl Sentinel {
     /// The identity signals — signature and reputation — depend only on the
     /// client, so callers evaluate them once per client run and pass the
     /// results in; this is what the batch path amortizes.
-    fn update_and_signal<E: EntryView>(
+    fn update_and_signal(
         cfg: &SentinelConfig,
         state: &mut ClientState,
-        entry: &E,
+        entry: &EntryRef<'_>,
         signature_hit: bool,
         reputation_hit: bool,
     ) -> (Option<SentinelSignal>, u32) {
@@ -240,7 +240,7 @@ impl Sentinel {
     }
 
     /// Evaluates the client-constant identity signals for an entry.
-    fn identity_hits<E: EntryView>(&self, entry: &E) -> (bool, bool) {
+    fn identity_hits(&self, entry: &EntryRef<'_>) -> (bool, bool) {
         (
             self.cfg.enable_signature
                 && self
@@ -250,11 +250,78 @@ impl Sentinel {
         )
     }
 
-    /// The batch engine shared by the owned and borrowed batch paths —
-    /// generic over [`EntryView`], so both produce identical verdicts by
-    /// construction. Hoists identity-derived work (whitelist, key hash,
-    /// signature, reputation) out of each single-client run.
-    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
+    /// The shared per-entry tail of both observe paths: update the
+    /// client's state, evaluate the signals, maintain the violator cache
+    /// and build the verdict. `cached_before` is whether the violator
+    /// cache held this client before the entry; the second return value
+    /// is whether it holds the client after.
+    #[allow(clippy::too_many_arguments)]
+    fn decide(
+        cfg: &SentinelConfig,
+        violators: &mut ClientStateTable<SentinelSignal>,
+        trip_counts: &mut BTreeMap<&'static str, u64>,
+        state: &mut ClientState,
+        entry: &EntryRef<'_>,
+        key: ClientKey,
+        ts: i64,
+        cached_before: bool,
+        signature_hit: bool,
+        reputation_hit: bool,
+    ) -> (Verdict, bool) {
+        let (signal, active) =
+            Self::update_and_signal(cfg, state, entry, signature_hit, reputation_hit);
+        if let Some(signal) = signal {
+            let mut cached = cached_before;
+            if cfg.enable_violator_cache && !cached_before {
+                violators.insert(key, ts, signal);
+                *trip_counts.entry(signal.name()).or_insert(0) += 1;
+                cached = true;
+            }
+            (
+                Verdict::new(true, (active + u32::from(cached_before)) as f32),
+                cached,
+            )
+        } else if cached_before {
+            (Verdict::new(true, 1.0), true)
+        } else {
+            (Verdict::CLEAR, false)
+        }
+    }
+}
+
+impl Detector for Sentinel {
+    fn name(&self) -> &str {
+        "sentinel"
+    }
+
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
+        if self.is_whitelisted(entry) {
+            return Verdict::CLEAR;
+        }
+        let key = entry.client_key();
+        let ts = entry.epoch_seconds();
+        let cached =
+            self.cfg.enable_violator_cache && self.violators.get_refresh(&key, ts).is_some();
+        let (signature_hit, reputation_hit) = self.identity_hits(entry);
+        let (state, _) = self.clients.upsert_with(key, ts, ClientState::default);
+        let (verdict, _) = Self::decide(
+            &self.cfg,
+            &mut self.violators,
+            &mut self.trip_counts,
+            state,
+            entry,
+            key,
+            ts,
+            cached,
+            signature_hit,
+            reputation_hit,
+        );
+        verdict
+    }
+
+    /// Hoists identity-derived work (whitelist, key hash, signature,
+    /// reputation) out of each single-client run.
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
         out.reserve(entries.len());
         let evicting = self.eviction_enabled();
         for run in crate::detector::client_runs(entries) {
@@ -326,83 +393,6 @@ impl Sentinel {
         }
     }
 
-    /// The shared per-entry tail of both observe paths: update the
-    /// client's state, evaluate the signals, maintain the violator cache
-    /// and build the verdict. `cached_before` is whether the violator
-    /// cache held this client before the entry; the second return value
-    /// is whether it holds the client after.
-    #[allow(clippy::too_many_arguments)]
-    fn decide<E: EntryView>(
-        cfg: &SentinelConfig,
-        violators: &mut ClientStateTable<SentinelSignal>,
-        trip_counts: &mut BTreeMap<&'static str, u64>,
-        state: &mut ClientState,
-        entry: &E,
-        key: ClientKey,
-        ts: i64,
-        cached_before: bool,
-        signature_hit: bool,
-        reputation_hit: bool,
-    ) -> (Verdict, bool) {
-        let (signal, active) =
-            Self::update_and_signal(cfg, state, entry, signature_hit, reputation_hit);
-        if let Some(signal) = signal {
-            let mut cached = cached_before;
-            if cfg.enable_violator_cache && !cached_before {
-                violators.insert(key, ts, signal);
-                *trip_counts.entry(signal.name()).or_insert(0) += 1;
-                cached = true;
-            }
-            (
-                Verdict::new(true, (active + u32::from(cached_before)) as f32),
-                cached,
-            )
-        } else if cached_before {
-            (Verdict::new(true, 1.0), true)
-        } else {
-            (Verdict::CLEAR, false)
-        }
-    }
-}
-
-impl Detector for Sentinel {
-    fn name(&self) -> &str {
-        "sentinel"
-    }
-
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        if self.is_whitelisted(entry) {
-            return Verdict::CLEAR;
-        }
-        let key = EntryView::client_key(entry);
-        let ts = entry.timestamp().epoch_seconds();
-        let cached =
-            self.cfg.enable_violator_cache && self.violators.get_refresh(&key, ts).is_some();
-        let (signature_hit, reputation_hit) = self.identity_hits(entry);
-        let (state, _) = self.clients.upsert_with(key, ts, ClientState::default);
-        let (verdict, _) = Self::decide(
-            &self.cfg,
-            &mut self.violators,
-            &mut self.trip_counts,
-            state,
-            entry,
-            key,
-            ts,
-            cached,
-            signature_hit,
-            reputation_hit,
-        );
-        verdict
-    }
-
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
-    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
     fn reset(&mut self) {
         self.clients.clear();
         self.violators.clear();
@@ -429,7 +419,7 @@ impl Default for Sentinel {
 mod tests {
     use super::*;
     use crate::detector::run_alerts;
-    use divscrape_httplog::{ClfTimestamp, HttpStatus};
+    use divscrape_httplog::{ClfTimestamp, HttpStatus, LogEntry};
     use std::net::Ipv4Addr;
 
     const BROWSER: &str =
@@ -455,7 +445,7 @@ mod tests {
     #[test]
     fn signature_flags_tools_immediately() {
         let mut s = Sentinel::stock();
-        let v = s.observe(&entry(clean_addr(), 0, "/search?q=a", "curl/7.58.0"));
+        let v = s.observe(&entry(clean_addr(), 0, "/search?q=a", "curl/7.58.0").view());
         assert!(v.alert);
         assert_eq!(s.trip_counts().get("signature"), Some(&1));
     }
@@ -464,7 +454,7 @@ mod tests {
     fn reputation_flags_datacenter_sources() {
         let mut s = Sentinel::stock();
         let dc = Ipv4Addr::new(45, 76, 1, 2);
-        assert!(s.observe(&entry(dc, 0, "/offers/1", BROWSER)).alert);
+        assert!(s.observe(&entry(dc, 0, "/offers/1", BROWSER).view()).alert);
         assert_eq!(s.trip_counts().get("reputation"), Some(&1));
     }
 
@@ -476,13 +466,13 @@ mod tests {
         for i in 0..40 {
             // One page every two seconds with script assets so the
             // challenge cannot be the signal that fires.
-            let v = s.observe(&entry(addr, i * 2, "/static/js/app.js", BROWSER));
+            let v = s.observe(&entry(addr, i * 2, "/static/js/app.js", BROWSER).view());
             if tripped_at.is_none() {
                 // Before the rate trips, asset requests must stay clean;
                 // afterwards the violator cache rightly alerts on them too.
                 assert!(!v.alert, "asset request {i} alerted before the trip");
             }
-            let v = s.observe(&entry(addr, i * 2 + 1, &format!("/offers/{i}"), BROWSER));
+            let v = s.observe(&entry(addr, i * 2 + 1, &format!("/offers/{i}"), BROWSER).view());
             if v.alert && tripped_at.is_none() {
                 tripped_at = Some(i);
             }
@@ -499,7 +489,7 @@ mod tests {
         let mut tripped_at = None;
         for i in 0..10 {
             // Slow pages (40s apart → rate can't trip), no scripts.
-            let v = s.observe(&entry(addr, i * 40, &format!("/offers/{i}"), BROWSER));
+            let v = s.observe(&entry(addr, i * 40, &format!("/offers/{i}"), BROWSER).view());
             if v.alert && tripped_at.is_none() {
                 tripped_at = Some(i + 1);
             }
@@ -513,9 +503,9 @@ mod tests {
         let mut s = Sentinel::stock();
         let addr = clean_addr();
         for i in 0..12 {
-            let v = s.observe(&entry(addr, i * 80, &format!("/offers/{i}"), BROWSER));
+            let v = s.observe(&entry(addr, i * 80, &format!("/offers/{i}"), BROWSER).view());
             assert!(!v.alert, "page {i} alerted");
-            let v = s.observe(&entry(addr, i * 80 + 2, "/static/js/app.js", BROWSER));
+            let v = s.observe(&entry(addr, i * 80 + 2, "/static/js/app.js", BROWSER).view());
             assert!(!v.alert);
         }
     }
@@ -526,11 +516,11 @@ mod tests {
         let addr = clean_addr();
         // Trip via challenge...
         for i in 0..8 {
-            s.observe(&entry(addr, i * 40, &format!("/offers/{i}"), BROWSER));
+            s.observe(&entry(addr, i * 40, &format!("/offers/{i}"), BROWSER).view());
         }
         assert_eq!(s.flagged_clients(), 1);
         // ...then a perfectly innocuous request hours later still alerts.
-        let v = s.observe(&entry(addr, 50_000, "/static/js/app.js", BROWSER));
+        let v = s.observe(&entry(addr, 50_000, "/static/js/app.js", BROWSER).view());
         assert!(v.alert, "violator cache should persist");
     }
 
@@ -540,7 +530,7 @@ mod tests {
         let mut s = Sentinel::stock();
         let real = Ipv4Addr::new(66, 249, 66, 5);
         for i in 0..20 {
-            let v = s.observe(&entry(real, i, &format!("/offers/{i}"), GOOGLEBOT));
+            let v = s.observe(&entry(real, i, &format!("/offers/{i}"), GOOGLEBOT).view());
             assert!(!v.alert, "real Googlebot alerted at {i}");
         }
         // The same identity from a residential address is an impostor: no
@@ -549,12 +539,7 @@ mod tests {
         let mut alerted = false;
         for i in 0..20 {
             alerted |= s
-                .observe(&entry(
-                    fake,
-                    100_000 + i * 40,
-                    &format!("/offers/{i}"),
-                    GOOGLEBOT,
-                ))
+                .observe(&entry(fake, 100_000 + i * 40, &format!("/offers/{i}"), GOOGLEBOT).view())
                 .alert;
         }
         assert!(alerted, "fake Googlebot escaped");
@@ -564,7 +549,7 @@ mod tests {
     fn contaminated_reputation_block_causes_false_positives() {
         let mut s = Sentinel::stock();
         let unlucky = Ipv4Addr::new(92, 143, 3, 9);
-        let v = s.observe(&entry(unlucky, 0, "/search?q=NCE-LHR", BROWSER));
+        let v = s.observe(&entry(unlucky, 0, "/search?q=NCE-LHR", BROWSER).view());
         assert!(v.alert, "contaminated block should alert");
     }
 
@@ -573,14 +558,14 @@ mod tests {
         let cfg = SentinelConfig::default().without("reputation");
         let mut s = Sentinel::new(cfg, SignatureEngine::stock(), ReputationFeed::stock());
         let dc = Ipv4Addr::new(45, 76, 1, 2);
-        let v = s.observe(&entry(dc, 0, "/offers/1", BROWSER));
+        let v = s.observe(&entry(dc, 0, "/offers/1", BROWSER).view());
         assert!(!v.alert, "reputation disabled but still alerted");
     }
 
     #[test]
     fn reset_clears_the_cache() {
         let mut s = Sentinel::stock();
-        s.observe(&entry(clean_addr(), 0, "/a", "curl/7.58.0"));
+        s.observe(&entry(clean_addr(), 0, "/a", "curl/7.58.0").view());
         assert_eq!(s.flagged_clients(), 1);
         s.reset();
         assert_eq!(s.flagged_clients(), 0);

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use divscrape_httplog::{fnv1a, ip::addr_hash, EntryView, HttpMethod, ResourceClass};
+use divscrape_httplog::{fnv1a, ip::addr_hash, EntryRef, HttpMethod, ResourceClass};
 
 use crate::evict::{ClientStateTable, EvictionConfig, EvictionStats};
 
@@ -83,7 +83,7 @@ pub struct SessionFeatures {
 }
 
 impl SessionFeatures {
-    fn start<E: EntryView>(entry: &E) -> Self {
+    fn start(entry: &EntryRef<'_>) -> Self {
         let mut f = SessionFeatures {
             first_ts: entry.epoch_seconds(),
             last_ts: entry.epoch_seconds(),
@@ -93,7 +93,7 @@ impl SessionFeatures {
         f
     }
 
-    fn update<E: EntryView>(&mut self, entry: &E) {
+    fn update(&mut self, entry: &EntryRef<'_>) {
         let ts = entry.epoch_seconds();
         self.requests += 1;
         self.last_ts = ts;
@@ -262,7 +262,7 @@ pub type ClientKey = (Ipv4Addr, u64);
 /// let log = generate(&ScenarioConfig::tiny(1))?;
 /// let mut sess = Sessionizer::new(SessionizerConfig::default());
 /// for entry in log.entries() {
-///     let features = sess.observe(entry);
+///     let features = sess.observe(&entry.view());
 ///     assert!(features.requests >= 1);
 /// }
 /// # Ok::<(), String>(())
@@ -301,7 +301,7 @@ impl Sessionizer {
 
     /// Feeds one entry; returns the features of the session it belongs to
     /// (after incorporating the entry).
-    pub fn observe<E: EntryView>(&mut self, entry: &E) -> &SessionFeatures {
+    pub fn observe(&mut self, entry: &EntryRef<'_>) -> &SessionFeatures {
         let key = entry.client_key();
         self.observe_with_key(key, entry)
     }
@@ -313,11 +313,7 @@ impl Sessionizer {
     ///
     /// `key` must equal `entry.client_key()`; feeding a mismatched key
     /// files the entry under the wrong client.
-    pub fn observe_with_key<E: EntryView>(
-        &mut self,
-        key: ClientKey,
-        entry: &E,
-    ) -> &SessionFeatures {
+    pub fn observe_with_key(&mut self, key: ClientKey, entry: &EntryRef<'_>) -> &SessionFeatures {
         let ts = entry.epoch_seconds();
         let timeout = self.cfg.idle_timeout_secs;
         let completed = &mut self.completed;
@@ -402,10 +398,10 @@ mod tests {
     #[test]
     fn counts_accumulate_within_a_session() {
         let mut s = Sessionizer::default();
-        s.observe(&entry([10, 0, 0, 1], 0, "/search?q=a", 200, "x"));
-        s.observe(&entry([10, 0, 0, 1], 5, "/static/css/main.css", 200, "x"));
-        s.observe(&entry([10, 0, 0, 1], 9, "/static/js/app.js", 200, "x"));
-        let f = s.observe(&entry([10, 0, 0, 1], 15, "/offers/3", 404, "x"));
+        s.observe(&entry([10, 0, 0, 1], 0, "/search?q=a", 200, "x").view());
+        s.observe(&entry([10, 0, 0, 1], 5, "/static/css/main.css", 200, "x").view());
+        s.observe(&entry([10, 0, 0, 1], 9, "/static/js/app.js", 200, "x").view());
+        let f = s.observe(&entry([10, 0, 0, 1], 15, "/offers/3", 404, "x").view());
         assert_eq!(f.requests, 4);
         assert_eq!(f.pages, 2);
         assert_eq!(f.assets, 2);
@@ -423,9 +419,9 @@ mod tests {
         let mut s = Sessionizer::new(SessionizerConfig {
             idle_timeout_secs: 100,
         });
-        s.observe(&entry([10, 0, 0, 1], 0, "/a", 200, "x"));
-        s.observe(&entry([10, 0, 0, 1], 99, "/b", 200, "x"));
-        let f = s.observe(&entry([10, 0, 0, 1], 300, "/c", 200, "x"));
+        s.observe(&entry([10, 0, 0, 1], 0, "/a", 200, "x").view());
+        s.observe(&entry([10, 0, 0, 1], 99, "/b", 200, "x").view());
+        let f = s.observe(&entry([10, 0, 0, 1], 300, "/c", 200, "x").view());
         assert_eq!(f.requests, 1, "session should have reset");
         assert_eq!(s.completed_sessions(), 1);
     }
@@ -433,8 +429,8 @@ mod tests {
     #[test]
     fn clients_are_separated_by_address_and_agent() {
         let mut s = Sessionizer::default();
-        s.observe(&entry([10, 0, 0, 1], 0, "/a", 200, "agent-one"));
-        s.observe(&entry([10, 0, 0, 1], 1, "/b", 200, "agent-two"));
+        s.observe(&entry([10, 0, 0, 1], 0, "/a", 200, "agent-one").view());
+        s.observe(&entry([10, 0, 0, 1], 1, "/b", 200, "agent-two").view());
         let f1 = s
             .current(&(Ipv4Addr::new(10, 0, 0, 1), {
                 divscrape_httplog::UserAgent::new("agent-one").fingerprint()
@@ -448,7 +444,7 @@ mod tests {
     fn burst_window_tracks_trailing_sixty_seconds() {
         let mut s = Sessionizer::default();
         for i in 0..30 {
-            s.observe(&entry([10, 0, 0, 1], i, "/a", 200, "x"));
+            s.observe(&entry([10, 0, 0, 1], i, "/a", 200, "x").view());
         }
         let key = (
             Ipv4Addr::new(10, 0, 0, 1),
@@ -461,16 +457,16 @@ mod tests {
             idle_timeout_secs: 10_000,
         });
         for i in 0..30 {
-            s.observe(&entry([10, 0, 0, 1], i, "/a", 200, "x"));
+            s.observe(&entry([10, 0, 0, 1], i, "/a", 200, "x").view());
         }
-        let f = s.observe(&entry([10, 0, 0, 1], 700, "/a", 200, "x"));
+        let f = s.observe(&entry([10, 0, 0, 1], 700, "/a", 200, "x").view());
         assert_eq!(f.current_burst(), 1);
         assert_eq!(f.max_burst, 30);
     }
 
     #[test]
     fn ratios_behave_at_the_edges() {
-        let f = SessionFeatures::start(&entry([1, 1, 1, 1], 0, "/a", 400, "x"));
+        let f = SessionFeatures::start(&entry([1, 1, 1, 1], 0, "/a", 400, "x").view());
         assert_eq!(f.error_ratio(), 1.0);
         assert_eq!(f.mean_gap_secs(), f64::INFINITY);
         assert_eq!(f.assets_per_page(), 0.0);
@@ -485,7 +481,7 @@ mod tests {
             let path = format!("/offers/{}", i % 37);
             let status = if i % 13 == 0 { 400 } else { 200 };
             f = Some(
-                s.observe(&entry([10, 0, 0, 2], i * 2, &path, status, "x"))
+                s.observe(&entry([10, 0, 0, 2], i * 2, &path, status, "x").view())
                     .clone(),
             );
         }
@@ -509,7 +505,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut s = Sessionizer::default();
-        s.observe(&entry([10, 0, 0, 1], 0, "/a", 200, "x"));
+        s.observe(&entry([10, 0, 0, 1], 0, "/a", 200, "x").view());
         s.reset();
         assert_eq!(s.active_clients(), 0);
         assert_eq!(s.completed_sessions(), 0);
@@ -546,7 +542,7 @@ mod tests {
                         4 => "/robots.txt".to_owned(),
                         _ => "/search?q=Y".to_owned(),
                     };
-                    let f = s.observe(&entry([10, 0, 0, client], clock, &path, status, "ua"));
+                    let f = s.observe(&entry([10, 0, 0, client], clock, &path, status, "ua").view());
                     // Class counters never exceed the total.
                     prop_assert!(f.pages + f.assets + f.apis + f.probes + f.robots_fetches <= f.requests);
                     prop_assert!(f.js_assets <= f.assets);
@@ -580,7 +576,7 @@ mod tests {
                         }
                     }
                     last = Some(clock);
-                    s.observe(&entry([10, 0, 0, 1], clock, "/a", 200, "ua"));
+                    s.observe(&entry([10, 0, 0, 1], clock, "/a", 200, "ua").view());
                 }
                 prop_assert_eq!(s.completed_sessions() + 1, expected_sessions);
                 prop_assert_eq!(s.active_clients(), 1);

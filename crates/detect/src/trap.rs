@@ -12,7 +12,7 @@
 //! links is invisible) and latency (nothing is flagged until the tripwire
 //! fires), which the committee analyses in `exp_three_tools` quantify.
 
-use divscrape_httplog::{EntryRef, EntryView, LogEntry};
+use divscrape_httplog::EntryRef;
 
 use crate::evict::{ClientStateTable, EvictionConfig, EvictionStats};
 use crate::{ClientKey, Detector, Verdict};
@@ -54,14 +54,14 @@ impl TrapDetector {
         self.trapped.len()
     }
 
-    fn is_trap<E: EntryView>(&self, entry: &E) -> bool {
+    fn is_trap(&self, entry: &EntryRef<'_>) -> bool {
         let path = entry.path();
         self.trap_paths.iter().any(|t| t == path)
     }
 
     /// The per-entry step with the client key precomputed: trip the wire
     /// if this is a trap fetch, then report whether the client is caught.
-    fn observe_keyed<E: EntryView>(&mut self, key: ClientKey, entry: &E) -> Verdict {
+    fn observe_keyed(&mut self, key: ClientKey, entry: &EntryRef<'_>) -> Verdict {
         let ts = entry.epoch_seconds();
         if self.is_trap(entry) {
             self.trapped.insert(key, ts, ());
@@ -72,9 +72,25 @@ impl TrapDetector {
             Verdict::CLEAR
         }
     }
+}
 
-    /// The shared hot path, generic over owned and borrowed entries.
-    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
+impl Default for TrapDetector {
+    /// Watches the default site model's trap page.
+    fn default() -> Self {
+        Self::for_site(&divscrape_traffic::SiteModel::default())
+    }
+}
+
+impl Detector for TrapDetector {
+    fn name(&self) -> &str {
+        "honeytrap"
+    }
+
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
+        self.observe_keyed(entry.client_key(), entry)
+    }
+
+    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
         out.reserve(entries.len());
         let evicting = !self.trapped.config().is_disabled();
         for run in crate::detector::client_runs(entries) {
@@ -103,31 +119,6 @@ impl TrapDetector {
             }
         }
     }
-}
-
-impl Default for TrapDetector {
-    /// Watches the default site model's trap page.
-    fn default() -> Self {
-        Self::for_site(&divscrape_traffic::SiteModel::default())
-    }
-}
-
-impl Detector for TrapDetector {
-    fn name(&self) -> &str {
-        "honeytrap"
-    }
-
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        self.observe_keyed(entry.client_key(), entry)
-    }
-
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
-    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
 
     fn reset(&mut self) {
         self.trapped.clear();
@@ -150,7 +141,7 @@ mod tests {
 
     #[test]
     fn trap_flags_from_the_tripwire_onwards() {
-        use divscrape_httplog::{ClfTimestamp, HttpStatus};
+        use divscrape_httplog::{ClfTimestamp, HttpStatus, LogEntry};
         use std::net::Ipv4Addr;
         let mk = |secs: i64, path: &str| {
             LogEntry::builder()
@@ -163,9 +154,15 @@ mod tests {
                 .unwrap()
         };
         let mut trap = TrapDetector::new(vec!["/deals/unlisted-crossings".into()]);
-        assert!(!trap.observe(&mk(0, "/offers/1")).alert);
-        assert!(trap.observe(&mk(1, "/deals/unlisted-crossings")).alert);
-        assert!(trap.observe(&mk(2, "/offers/2")).alert, "stays flagged");
+        assert!(!trap.observe(&mk(0, "/offers/1").view()).alert);
+        assert!(
+            trap.observe(&mk(1, "/deals/unlisted-crossings").view())
+                .alert
+        );
+        assert!(
+            trap.observe(&mk(2, "/offers/2").view()).alert,
+            "stays flagged"
+        );
         assert_eq!(trap.trapped_clients(), 1);
     }
 
@@ -212,7 +209,7 @@ mod tests {
 
     #[test]
     fn query_strings_do_not_evade_the_trap() {
-        use divscrape_httplog::{ClfTimestamp, HttpStatus};
+        use divscrape_httplog::{ClfTimestamp, HttpStatus, LogEntry};
         use std::net::Ipv4Addr;
         let e = LogEntry::builder()
             .addr(Ipv4Addr::new(10, 0, 0, 1))
@@ -227,6 +224,6 @@ mod tests {
             .build()
             .unwrap();
         let mut trap = TrapDetector::new(vec!["/deals/unlisted-crossings".into()]);
-        assert!(trap.observe(&e).alert);
+        assert!(trap.observe(&e.view()).alert);
     }
 }

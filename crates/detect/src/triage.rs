@@ -15,7 +15,7 @@
 //!   nothing spilled (see `divscrape-pipeline`'s `triage` knob).
 //!
 //! The stock filter, [`FastTriage`], maintains only cheap per-client
-//! counters computable from any [`EntryView`] without allocation, with
+//! counters computable from an [`EntryRef`] without allocation, with
 //! state held in the same evictable [`StateTable`](crate::StateTable)
 //! machinery the detectors use. Its escalation ruleset is deliberately a
 //! **superset trigger** for the stock [`Sentinel`](crate::Sentinel) +
@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use divscrape_httplog::{AgentFamily, EntryView, HttpMethod, ResourceClass};
+use divscrape_httplog::{AgentFamily, EntryRef, HttpMethod, ResourceClass};
 
 use crate::evict::{ClientStateTable, EvictionConfig, EvictionStats};
 use crate::sentinel::{ReputationFeed, SignatureEngine};
@@ -57,7 +57,7 @@ pub trait TriageFilter: Send {
     fn name(&self) -> &str;
 
     /// Classifies one entry's client, updating per-client state.
-    fn classify(&mut self, entry: &dyn EntryView) -> TriageDecision;
+    fn classify(&mut self, entry: &EntryRef<'_>) -> TriageDecision;
 
     /// Drops all per-client state.
     fn reset(&mut self);
@@ -287,9 +287,9 @@ struct FastState {
 /// let tool = LogEntry::parse(
 ///     r#"10.0.0.7 - - [11/Mar/2018:00:00:05 +0000] "GET /offers HTTP/1.1" 200 77 "-" "curl/7.58.0""#,
 /// ).map_err(|e| e.to_string())?;
-/// assert_eq!(triage.classify(&human), TriageDecision::Benign);
-/// assert_eq!(triage.classify(&tool), TriageDecision::Escalate);
-/// assert_eq!(triage.classify(&tool), TriageDecision::Escalated);
+/// assert_eq!(triage.classify(&human.view()), TriageDecision::Benign);
+/// assert_eq!(triage.classify(&tool.view()), TriageDecision::Escalate);
+/// assert_eq!(triage.classify(&tool.view()), TriageDecision::Escalated);
 /// # Ok::<(), String>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -360,7 +360,7 @@ impl TriageFilter for FastTriage {
         "fast-triage"
     }
 
-    fn classify(&mut self, entry: &dyn EntryView) -> TriageDecision {
+    fn classify(&mut self, entry: &EntryRef<'_>) -> TriageDecision {
         let ts = entry.epoch_seconds();
         let key = entry.client_key();
         let (state, _) = self.clients.upsert_with(key, ts, FastState::default);
@@ -556,7 +556,7 @@ mod tests {
     }
 
     fn decide(triage: &mut FastTriage, e: &LogEntry) -> TriageDecision {
-        triage.classify(e)
+        triage.classify(&e.view())
     }
 
     #[test]
@@ -775,7 +775,7 @@ mod tests {
         let tool = entry("10.0.6.1", 0, "GET", "/offers/1", 200, "curl/7.58.0");
         assert_eq!(decide(&mut triage, &tool), TriageDecision::Escalate);
         let mut copy = triage.clone_boxed();
-        assert_eq!(copy.classify(&tool), TriageDecision::Escalate);
+        assert_eq!(copy.classify(&tool.view()), TriageDecision::Escalate);
     }
 
     #[test]

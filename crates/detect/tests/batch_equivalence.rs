@@ -1,17 +1,15 @@
-//! The `observe_batch` contract: every stock detector's specialized batch
-//! path must be verdict-identical to the per-entry `observe` loop (the
-//! trait's default), for any chunking of the log — and so must its
-//! borrowed twin, `observe_batch_refs` over `EntryBlock` views of the
-//! rendered lines, with eviction off and on.
+//! The `observe_batch_refs` contract: every stock detector's specialized
+//! batch path must be verdict-identical to the per-entry `observe` loop
+//! (the trait's default), for any chunking of the log, whichever source
+//! the views come from — `LogEntry::view()` of the owned entries or
+//! `EntryBlock` views of their rendered lines — with eviction off and on.
 
 use divscrape_detect::baselines::{
     Cart, CartParams, Logistic, LogisticParams, NaiveBayes, RateLimiter, SessionModelDetector,
     SignatureOnly, TrainingSet,
 };
-use divscrape_detect::{
-    Arcane, Committee, Detector, EvictionConfig, Sentinel, TrapDetector, Verdict,
-};
-use divscrape_httplog::{EntryBlock, EntryRef};
+use divscrape_detect::{Arcane, Detector, EvictionConfig, Sentinel, TrapDetector, Verdict};
+use divscrape_httplog::{EntryBlock, EntryRef, LogEntry};
 use divscrape_traffic::{generate, LabelledLog, ScenarioConfig};
 
 fn log() -> LabelledLog {
@@ -19,24 +17,28 @@ fn log() -> LabelledLog {
 }
 
 /// Per-entry observation — exactly what the trait's default
-/// `observe_batch` does, used as the reference behavior.
+/// `observe_batch_refs` does, used as the reference behavior.
 fn reference<D: Detector>(det: &mut D, log: &LabelledLog) -> Vec<Verdict> {
-    log.entries().iter().map(|e| det.observe(e)).collect()
+    log.entries()
+        .iter()
+        .map(|e| det.observe(&e.view()))
+        .collect()
 }
 
-/// The specialized batch path, fed in the given chunk sizes.
+/// The batch path over views of the owned entries, fed in the given
+/// chunk sizes (what `run` does with one whole-log chunk).
 fn batched<D: Detector>(det: &mut D, log: &LabelledLog, chunk: usize) -> Vec<Verdict> {
     let mut out = Vec::new();
     for part in log.entries().chunks(chunk) {
-        det.observe_batch(part, &mut out);
+        let views: Vec<EntryRef<'_>> = part.iter().map(LogEntry::view).collect();
+        det.observe_batch_refs(&views, &mut out);
     }
     out
 }
 
-/// The borrowed path: each chunk of rendered lines is parsed in place
-/// into a recycled `EntryBlock` (as the pipeline's arena does) and its
-/// views fed to `observe_batch_refs`.
-fn borrowed<D: Detector>(det: &mut D, lines: &[String], chunk: usize) -> Vec<Verdict> {
+/// The batch path over arena views: each chunk of rendered lines is
+/// parsed in place into a recycled `EntryBlock` (as the pipeline does).
+fn arena<D: Detector>(det: &mut D, lines: &[String], chunk: usize) -> Vec<Verdict> {
     let mut out = Vec::new();
     let mut block = EntryBlock::new();
     for part in lines.chunks(chunk) {
@@ -71,9 +73,10 @@ fn eviction() -> EvictionConfig {
     EvictionConfig::ttl(900).with_capacity(48)
 }
 
-/// Holds detectors built by `fresh` to the contract on both batch paths:
-/// owned chunks with eviction off, borrowed chunks with eviction off and
-/// on, each against a per-entry `observe` loop under the same policy.
+/// Holds detectors built by `fresh` to the contract: every chunking of
+/// both view sources, with eviction off and on, against a per-entry
+/// `observe` loop under the same policy — verdicts and eviction
+/// accounting alike.
 fn assert_paths_equivalent<D: Detector>(fresh: impl Fn() -> D) {
     let log = log();
     let lines: Vec<String> = log.entries().iter().map(|e| e.to_string()).collect();
@@ -88,23 +91,23 @@ fn assert_paths_equivalent<D: Detector>(fresh: impl Fn() -> D) {
         let mut per_entry = build();
         let expected = reference(&mut per_entry, &log);
         let name = per_entry.name().to_owned();
-        if evict.is_none() {
-            // Whole-log, prime-sized, and single-entry chunking must all agree.
-            for chunk in [log.len(), 257, 1] {
-                let got = batched(&mut build(), &log, chunk);
-                assert_same_verdicts(&name, &format!("owned chunk {chunk}"), &got, &expected);
-            }
-        }
-        for chunk in [1, 7, 311, lines.len()] {
-            let mut det = build();
-            let got = borrowed(&mut det, &lines, chunk);
-            let case = format!("borrowed chunk {chunk}, eviction {}", evict.is_some());
-            assert_same_verdicts(&name, &case, &got, &expected);
+        let check = |source: &str, chunk: usize, det: &D, got: &[Verdict]| {
+            let case = format!("{source}, chunk {chunk}, eviction {}", evict.is_some());
+            assert_same_verdicts(&name, &case, got, &expected);
             assert_eq!(
                 det.eviction_stats(),
                 per_entry.eviction_stats(),
                 "{name}: eviction accounting diverged ({case})"
             );
+        };
+        // Single-entry, prime-sized and whole-log chunking must all agree.
+        for chunk in [1, 7, 311, log.len()] {
+            let mut det = build();
+            let got = batched(&mut det, &log, chunk);
+            check("entry views", chunk, &det, &got);
+            let mut det = build();
+            let got = arena(&mut det, &lines, chunk);
+            check("arena views", chunk, &det, &got);
         }
     }
 }
@@ -157,50 +160,6 @@ fn session_model_batch_paths_are_equivalent() {
         0.5,
         3,
     ));
-}
-
-#[test]
-fn committee_batch_path_is_equivalent() {
-    // Committee is not Clone (boxed members), so compare two fresh builds.
-    let log = log();
-    let mut per_entry = Committee::stock_pair(1);
-    let expected = reference(&mut per_entry, &log);
-    for chunk in [log.len(), 257, 1] {
-        let mut committee = Committee::stock_pair(1);
-        let got = batched(&mut committee, &log, chunk);
-        assert_eq!(got.len(), expected.len());
-        assert!(
-            got.iter()
-                .zip(&expected)
-                .all(|(g, e)| g.alert == e.alert && (g.score - e.score).abs() < 1e-6),
-            "committee diverged with chunk {chunk}"
-        );
-        // Member accounting must match the per-entry path too.
-        assert_eq!(committee.requests_seen(), per_entry.requests_seen());
-        assert_eq!(
-            committee.member_alert_counts(),
-            per_entry.member_alert_counts()
-        );
-    }
-}
-
-#[test]
-fn five_member_committee_paths_are_equivalent() {
-    // The full diverse ensemble as one detector: `Committee` forwards
-    // each batch path to the same path of every member.
-    assert_paths_equivalent(|| {
-        Committee::new(
-            vec![
-                Box::new(Sentinel::stock()),
-                Box::new(Arcane::stock()),
-                Box::new(TrapDetector::default()),
-                Box::new(RateLimiter::default()),
-                Box::new(SignatureOnly::stock()),
-            ],
-            1,
-        )
-        .expect("five members, k = 1")
-    });
 }
 
 #[test]

@@ -1,9 +1,8 @@
-//! Pins the cheapest committee members to the borrowed path: a warm
-//! `observe_batch_refs` pass over `EntryBlock` views performs **zero**
-//! heap allocations for the honeytrap and the signature-only baseline.
-//! Falling back to the trait's materializing default costs a full
-//! `LogEntry::parse` (~3 allocations) per entry, so any count above zero
-//! means a stock detector lost its `observe_batch_refs` override.
+//! Pins the cheapest ensemble members to an allocation-free batch path:
+//! a warm `observe_batch_refs` pass over `EntryBlock` views performs
+//! **zero** heap allocations for the honeytrap and the signature-only
+//! baseline — and so does the trait's default batch method (a loop over
+//! `observe`) for a third-party detector that implements nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +45,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// A third-party detector in its smallest form: `observe` only, so every
+/// batch goes through the trait's default.
+struct NoAgent;
+
+impl Detector for NoAgent {
+    fn name(&self) -> &str {
+        "no-agent"
+    }
+
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
+        Verdict::new(entry.ua_str().is_empty(), 0.0)
+    }
+
+    fn reset(&mut self) {}
+}
+
 /// Allocations made by one `observe_batch_refs` pass after one warm-up
 /// pass (which trips every wire and sizes `out`).
 fn warm_pass_allocs<D: Detector>(mut det: D, views: &[EntryRef<'_>]) -> u64 {
@@ -78,5 +93,10 @@ fn warm_borrowed_pass_allocates_nothing_for_trap_and_signature_only() {
         warm_pass_allocs(SignatureOnly::stock(), &views),
         0,
         "signature-only allocated on a warm borrowed pass"
+    );
+    assert_eq!(
+        warm_pass_allocs(NoAgent, &views),
+        0,
+        "the default batch method allocated for an observe-only detector"
     );
 }

@@ -8,7 +8,7 @@
 //! 3. **Verdict preservation**: with a TTL at least as long as a
 //!    detector's own session timeout, eviction changes no verdict for
 //!    session-scoped detectors.
-//! 4. **Batch equivalence**: the amortized `observe_batch` paths remain
+//! 4. **Batch equivalence**: the amortized `observe_batch_refs` paths remain
 //!    verdict-identical to the per-entry loop with eviction enabled.
 
 use std::net::Ipv4Addr;
@@ -61,14 +61,14 @@ fn ttl_evicted_client_returns_as_a_fresh_session() {
     sessions.set_eviction(EvictionConfig::ttl(600));
     let addr = Ipv4Addr::new(81, 2, 10, 30);
     for i in 0..8 {
-        sessions.observe(&entry(addr, i * 30, &format!("/offers/{i}"), BROWSER));
+        sessions.observe(&entry(addr, i * 30, &format!("/offers/{i}"), BROWSER).view());
     }
     // Another client's traffic after the TTL reaps the idle session.
-    sessions.observe(&entry(Ipv4Addr::new(81, 2, 10, 31), 2_000, "/a", BROWSER));
+    sessions.observe(&entry(Ipv4Addr::new(81, 2, 10, 31), 2_000, "/a", BROWSER).view());
     assert_eq!(sessions.eviction_stats().evicted_clients, 1);
     // The original client returns inside its (long) idle timeout, but
     // after eviction: a fresh session, not request #9.
-    let f = sessions.observe(&entry(addr, 2_100, "/offers/9", BROWSER));
+    let f = sessions.observe(&entry(addr, 2_100, "/offers/9", BROWSER).view());
     assert_eq!(f.requests, 1, "evicted client must restart fresh");
 }
 
@@ -82,21 +82,17 @@ fn arcane_warmup_restarts_after_ttl_eviction() {
     let mut alerted = false;
     for i in 0..10 {
         alerted |= arcane
-            .observe(&entry(addr, i * 30, &format!("/offers/{i}"), BROWSER))
+            .observe(&entry(addr, i * 30, &format!("/offers/{i}"), BROWSER).view())
             .alert;
     }
     assert!(!alerted, "ten slow bare pages stay under the threshold");
     // Idle past the TTL (kept visible to the table by other traffic),
     // then ten more bare pages: still no alert, because the evicted
     // session's evidence is gone.
-    arcane.observe(&entry(Ipv4Addr::new(81, 2, 10, 41), 2_000, "/a", BROWSER));
+    arcane.observe(&entry(Ipv4Addr::new(81, 2, 10, 41), 2_000, "/a", BROWSER).view());
     for i in 0..10 {
-        let v = arcane.observe(&entry(
-            addr,
-            2_100 + i * 30,
-            &format!("/offers/{i}"),
-            BROWSER,
-        ));
+        let v =
+            arcane.observe(&entry(addr, 2_100 + i * 30, &format!("/offers/{i}"), BROWSER).view());
         assert!(!v.alert, "fresh session inherited evicted evidence at {i}");
     }
 }
@@ -120,7 +116,7 @@ fn capacity_bound_holds_on_a_long_many_client_stream() {
     ] {
         det.set_eviction(EvictionConfig::capacity(cap));
         for (i, e) in stream.iter().enumerate() {
-            det.observe(e);
+            det.observe(&e.view());
             // The bound is an invariant, not an end-state property.
             if i % 997 == 0 {
                 assert!(
@@ -191,7 +187,11 @@ fn batch_path_stays_equivalent_to_per_entry_under_eviction() {
         let via_batch = run(&mut batched, log.entries());
         batched.reset();
         // Per-entry loop on the *same* (reset) detector instance.
-        let via_entries: Vec<_> = log.entries().iter().map(|e| batched.observe(e)).collect();
+        let via_entries: Vec<_> = log
+            .entries()
+            .iter()
+            .map(|e| batched.observe(&e.view()))
+            .collect();
         let diverged = via_batch
             .iter()
             .zip(&via_entries)
@@ -226,18 +226,18 @@ fn sentinel_violator_cache_forgets_idle_violators_under_ttl() {
     // violator entry is behavioural, keyed on a clean browser identity.
     for s in [&mut unbounded, &mut bounded] {
         for i in 0..8 {
-            s.observe(&entry(addr, i * 40, &format!("/offers/{i}"), BROWSER));
+            s.observe(&entry(addr, i * 40, &format!("/offers/{i}"), BROWSER).view());
         }
         assert_eq!(s.flagged_clients(), 1, "challenge should have tripped");
     }
     // An innocuous request from the same client, hours past the TTL:
     let probe = entry(addr, 50_000, "/static/js/app.js", BROWSER);
     assert!(
-        unbounded.observe(&probe).alert,
+        unbounded.observe(&probe.view()).alert,
         "unbounded violator cache alerts forever"
     );
     assert!(
-        !bounded.observe(&probe).alert,
+        !bounded.observe(&probe.view()).alert,
         "TTL-bounded cache forgives an idle violator"
     );
 }

@@ -99,7 +99,7 @@ where
 
     let mut second_flags = vec![false; entries.len()];
     for &i in &forwarded {
-        second_flags[i] = second.observe(&entries[i]).alert;
+        second_flags[i] = second.observe(&entries[i].view()).alert;
     }
     let second_alerts = AlertVector::from_bools(second.name().to_owned(), &second_flags);
 

@@ -65,4 +65,4 @@ pub use request::{HttpVersion, RequestLine};
 pub use status::{HttpStatus, StatusClass};
 pub use timestamp::{ClfTimestamp, ParseTimestampError, SECONDS_PER_DAY};
 pub use useragent::{AgentFamily, UserAgent};
-pub use view::{fnv1a, EntryBlock, EntryRef, EntryView, UaInterner};
+pub use view::{fnv1a, EntryBlock, EntryRef, UaInterner};

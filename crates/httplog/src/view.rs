@@ -1,36 +1,38 @@
-//! The zero-copy entry spine: borrowed log-entry views, the per-chunk
-//! text arena, and the user-agent interner.
+//! The one entry representation on the decision path: borrowed
+//! log-entry views, the per-chunk text arena, and the user-agent
+//! interner.
 //!
 //! [`LogEntry`] owns heap `String`s for every text field, which is the
-//! right shape for serialization and long-lived storage but wasteful on
-//! the parse → detect hot path, where an entry is inspected once and
-//! dropped. This module provides the borrowed alternative:
+//! right shape for serialization, sinks and long-lived storage. Detectors
+//! never see it: everything that decides reads an [`EntryRef`].
 //!
-//! * [`EntryRef`] is a `Copy` view of one parsed line, borrowing its
-//!   text from wherever the line lives. Classification
-//!   (resource class, agent family, fingerprint) is computed **once at
-//!   parse time** with the allocation-free classifiers
-//!   ([`AgentFamily::classify`], [`ResourceClass::classify`]) instead of
-//!   per detector per entry.
-//! * [`EntryView`] abstracts over owned and borrowed entries, so a
-//!   detector's core logic is written once and runs on both. The
-//!   [`LogEntry`] implementation delegates to the existing (allocating)
-//!   accessors — the owned path's cost and verdicts are untouched.
-//! * [`EntryBlock`] is the per-chunk arena: parsed lines are appended to
-//!   one contiguous text buffer with compact per-entry metadata, so a
-//!   whole chunk of entries is freed (and the buffers reused) in O(1)
-//!   when the chunk finalizes.
+//! * [`EntryRef`] is a `Copy` view of one record, borrowing its text
+//!   from wherever the record lives — a parsed line
+//!   ([`EntryRef::parse`]), an owned entry ([`LogEntry::view`]) or an
+//!   [`EntryBlock`] arena. Classification (resource class, agent family,
+//!   fingerprint) is computed **once per view** with the allocation-free
+//!   classifiers ([`AgentFamily::classify`], [`ResourceClass::classify`])
+//!   instead of per detector per entry.
+//! * [`EntryBlock`] is the per-chunk arena: lines
+//!   ([`push_line`](EntryBlock::push_line)) and owned entries
+//!   ([`push_entry`](EntryBlock::push_entry), which renders the canonical
+//!   line and parses it like any other) are appended to one contiguous
+//!   text buffer with compact per-entry metadata, so a whole chunk of
+//!   entries is freed (and the buffers reused) in O(1) when the chunk
+//!   finalizes.
 //! * [`UaInterner`] caches `(fingerprint, family)` per distinct
 //!   user-agent string, so repeated agents — the overwhelmingly common
 //!   case — cost one hash lookup instead of a classify pass.
 //!
-//! Both parse paths share one core (`parse_parts` in the entry module),
-//! so [`EntryRef::parse`] and [`LogEntry::parse`] accept and reject
-//! exactly the same lines with exactly the same errors, by construction;
-//! the property tests at the bottom of this module pin that and the
+//! Every parse shares one core (`parse_parts` in the entry module), so
+//! [`EntryRef::parse`], [`EntryBlock::push_line`] and [`LogEntry::parse`]
+//! accept and reject exactly the same lines with exactly the same
+//! errors, by construction; the property tests at the bottom of this
+//! module pin that, the agreement of the three view sources, and the
 //! classifier equivalences on hostile inputs.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use crate::entry::{parse_parts, RawParts};
@@ -49,116 +51,26 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Everything a detector reads from a log entry, abstracted over owned
-/// ([`LogEntry`]) and borrowed ([`EntryRef`]) representations.
+/// A borrowed, `Copy` view of one Combined Log Format record — what
+/// every detector and triage filter reads.
 ///
-/// The detectors' batch cores are generic over this trait, which is what
-/// makes the zero-copy path verdict-identical to the owned path: both
-/// run the *same* code, they only differ in where the bytes live and
-/// whether classification was precomputed.
-pub trait EntryView {
-    /// The client address.
-    fn addr(&self) -> Ipv4Addr;
-    /// When the request completed, as Unix epoch seconds.
-    fn epoch_seconds(&self) -> i64;
-    /// The request method.
-    fn method(&self) -> HttpMethod;
-    /// The full request target, query string included.
-    fn target(&self) -> &str;
-    /// The path component of the target (everything before `?`).
-    fn path(&self) -> &str;
-    /// The response status.
-    fn status(&self) -> HttpStatus;
-    /// Whether a `Referer` header was sent.
-    fn has_referrer(&self) -> bool;
-    /// The user-agent string (empty when absent; `-` is normalised away).
-    fn ua_str(&self) -> &str;
-    /// The user agent's coarse family.
-    fn agent_family(&self) -> AgentFamily;
-    /// The user agent's stable 64-bit fingerprint.
-    fn ua_fingerprint(&self) -> u64;
-    /// The target's resource class.
-    fn resource_class(&self) -> ResourceClass;
-
-    /// Key identifying the client: address plus user-agent fingerprint
-    /// (see [`LogEntry::client_key`]).
-    fn client_key(&self) -> (Ipv4Addr, u64) {
-        (self.addr(), self.ua_fingerprint())
-    }
-}
-
-impl EntryView for LogEntry {
-    fn addr(&self) -> Ipv4Addr {
-        LogEntry::addr(self)
-    }
-
-    fn epoch_seconds(&self) -> i64 {
-        self.timestamp().epoch_seconds()
-    }
-
-    fn method(&self) -> HttpMethod {
-        self.request().method()
-    }
-
-    fn target(&self) -> &str {
-        self.request().path().as_str()
-    }
-
-    fn path(&self) -> &str {
-        self.request().path().path()
-    }
-
-    fn status(&self) -> HttpStatus {
-        LogEntry::status(self)
-    }
-
-    fn has_referrer(&self) -> bool {
-        self.referrer().is_some()
-    }
-
-    fn ua_str(&self) -> &str {
-        self.user_agent().as_str()
-    }
-
-    fn agent_family(&self) -> AgentFamily {
-        self.user_agent().family()
-    }
-
-    fn ua_fingerprint(&self) -> u64 {
-        self.user_agent().fingerprint()
-    }
-
-    fn resource_class(&self) -> ResourceClass {
-        self.request().path().resource_class()
-    }
-
-    fn client_key(&self) -> (Ipv4Addr, u64) {
-        LogEntry::client_key(self)
-    }
-}
-
-/// A borrowed, `Copy` view of one parsed Combined Log Format line — the
-/// zero-copy counterpart of [`LogEntry`].
-///
-/// Text fields borrow from the parsed line (or from an [`EntryBlock`]'s
-/// arena); classification is precomputed at parse time. Fields detectors
-/// never read (ident, user, referrer text, response size) are not
-/// carried — [`to_entry`](Self::to_entry) reparses the retained full
-/// line when an owned entry is needed, so nothing is lost.
+/// Text fields borrow from the parsed line, the viewed [`LogEntry`] or an
+/// [`EntryBlock`]'s arena; classification is precomputed when the view
+/// is made. Fields detectors never read (ident, user, referrer text,
+/// response size) are not carried.
 ///
 /// ```
-/// use divscrape_httplog::{EntryRef, EntryView, ResourceClass};
+/// use divscrape_httplog::{EntryRef, LogEntry, ResourceClass};
 ///
 /// let line = r#"10.0.0.9 - - [11/Mar/2018:00:00:05 +0000] "GET /offers?p=2 HTTP/1.1" 200 77 "-" "curl/7.58.0""#;
 /// let view = EntryRef::parse(line)?;
 /// assert_eq!(view.path(), "/offers");
 /// assert_eq!(view.resource_class(), ResourceClass::Page);
-/// assert_eq!(view.to_entry(), divscrape_httplog::LogEntry::parse(line)?);
+/// assert_eq!(view, LogEntry::parse(line)?.view());
 /// # Ok::<(), divscrape_httplog::ParseLogError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntryRef<'s> {
-    line: &'s str,
     addr: Ipv4Addr,
     timestamp: ClfTimestamp,
     method: HttpMethod,
@@ -178,11 +90,9 @@ impl<'s> EntryRef<'s> {
     /// accept/reject behaviour and [`ParseLogError`]s as
     /// [`LogEntry::parse`] (both delegate to one shared core).
     pub fn parse(line: &'s str) -> Result<Self, ParseLogError> {
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        let parts = parse_parts(trimmed)?;
+        let parts = parse_parts(line.trim_end_matches(['\r', '\n']))?;
         let ua = normalize_ua(parts.ua);
         Ok(Self::from_parts(
-            trimmed,
             &parts,
             ua,
             fnv1a(ua.as_bytes()),
@@ -192,16 +102,9 @@ impl<'s> EntryRef<'s> {
 
     /// Assembles the view from parsed parts plus precomputed (possibly
     /// interned) agent identity.
-    fn from_parts(
-        line: &'s str,
-        parts: &RawParts<'s>,
-        ua: &'s str,
-        ua_fp: u64,
-        family: AgentFamily,
-    ) -> Self {
+    fn from_parts(parts: &RawParts<'s>, ua: &'s str, ua_fp: u64, family: AgentFamily) -> Self {
         let path_len = parts.target.find('?').unwrap_or(parts.target.len());
         EntryRef {
-            line,
             addr: parts.addr,
             timestamp: parts.timestamp,
             method: parts.method,
@@ -216,9 +119,9 @@ impl<'s> EntryRef<'s> {
         }
     }
 
-    /// The full original line (terminator stripped).
-    pub fn line(&self) -> &'s str {
-        self.line
+    /// The client address.
+    pub fn addr(&self) -> Ipv4Addr {
+        self.addr
     }
 
     /// When the request completed.
@@ -226,57 +129,85 @@ impl<'s> EntryRef<'s> {
         self.timestamp
     }
 
-    /// Materialises the owned [`LogEntry`] by reparsing the retained
-    /// line — bit-identical to [`LogEntry::parse`] of the original
-    /// input, including the fields the view itself does not carry.
-    pub fn to_entry(&self) -> LogEntry {
-        LogEntry::parse(self.line).expect("EntryRef always wraps a line that parsed")
-    }
-}
-
-impl EntryView for EntryRef<'_> {
-    fn addr(&self) -> Ipv4Addr {
-        self.addr
-    }
-
-    fn epoch_seconds(&self) -> i64 {
+    /// When the request completed, as Unix epoch seconds.
+    pub fn epoch_seconds(&self) -> i64 {
         self.timestamp.epoch_seconds()
     }
 
-    fn method(&self) -> HttpMethod {
+    /// The request method.
+    pub fn method(&self) -> HttpMethod {
         self.method
     }
 
-    fn target(&self) -> &str {
+    /// The full request target, query string included.
+    pub fn target(&self) -> &'s str {
         self.target
     }
 
-    fn path(&self) -> &str {
+    /// The path component of the target (everything before `?`).
+    pub fn path(&self) -> &'s str {
         &self.target[..self.path_len as usize]
     }
 
-    fn status(&self) -> HttpStatus {
+    /// The response status.
+    pub fn status(&self) -> HttpStatus {
         self.status
     }
 
-    fn has_referrer(&self) -> bool {
+    /// Whether a `Referer` header was sent.
+    pub fn has_referrer(&self) -> bool {
         self.has_referrer
     }
 
-    fn ua_str(&self) -> &str {
+    /// The user-agent string (empty when absent; `-` is normalised away).
+    pub fn ua_str(&self) -> &'s str {
         self.ua
     }
 
-    fn agent_family(&self) -> AgentFamily {
+    /// The user agent's coarse family.
+    pub fn agent_family(&self) -> AgentFamily {
         self.family
     }
 
-    fn ua_fingerprint(&self) -> u64 {
+    /// The user agent's stable 64-bit fingerprint.
+    pub fn ua_fingerprint(&self) -> u64 {
         self.ua_fp
     }
 
-    fn resource_class(&self) -> ResourceClass {
+    /// The target's resource class.
+    pub fn resource_class(&self) -> ResourceClass {
         self.resource
+    }
+
+    /// Key identifying the client: address plus user-agent fingerprint
+    /// (see [`LogEntry::client_key`]).
+    pub fn client_key(&self) -> (Ipv4Addr, u64) {
+        (self.addr, self.ua_fp)
+    }
+}
+
+impl LogEntry {
+    /// This entry as the borrowed view detectors read — no allocation;
+    /// the agent and target are classified here, once, with the same
+    /// classifiers the line parser uses, so the view equals
+    /// [`EntryRef::parse`] of the line this entry was parsed from.
+    pub fn view(&self) -> EntryRef<'_> {
+        let target = self.request().path().as_str();
+        let path = self.request().path().path();
+        let ua = self.user_agent().as_str();
+        EntryRef {
+            addr: self.addr(),
+            timestamp: self.timestamp(),
+            method: self.request().method(),
+            target,
+            path_len: path.len() as u32,
+            status: self.status(),
+            has_referrer: self.referrer().is_some(),
+            ua,
+            ua_fp: fnv1a(ua.as_bytes()),
+            family: AgentFamily::classify(ua),
+            resource: ResourceClass::classify(path),
+        }
     }
 }
 
@@ -394,16 +325,16 @@ struct EntryMeta {
 /// A chunk-sized arena of parsed entries: one contiguous text buffer
 /// plus compact per-entry metadata.
 ///
-/// Lines are parsed **before** being appended (a malformed line leaves
-/// the block untouched), so every stored entry is valid by construction
-/// and [`view`](Self::view) is infallible. Finalizing a chunk frees all
-/// of its entries at once — [`clear`](Self::clear) keeps the buffers'
-/// capacity, so a recycled block's steady state performs **zero heap
-/// allocations per entry** (pinned by the repository's counting-allocator
-/// test).
+/// A record is appended to the text buffer's tail and parsed there; one
+/// that does not parse is truncated away again, so every stored entry is
+/// valid by construction and [`view`](Self::view) is infallible.
+/// Finalizing a chunk frees all of its entries at once —
+/// [`clear`](Self::clear) keeps the buffers' capacity, so a recycled
+/// block's steady state performs **zero heap allocations per entry**
+/// (pinned by the repository's counting-allocator test).
 ///
 /// ```
-/// use divscrape_httplog::{EntryBlock, EntryView};
+/// use divscrape_httplog::EntryBlock;
 ///
 /// let mut block = EntryBlock::new();
 /// block.push_line(r#"10.0.0.9 - - [11/Mar/2018:00:00:05 +0000] "GET /offers HTTP/1.1" 200 77 "-" "curl/7.58.0""#)?;
@@ -424,30 +355,62 @@ impl EntryBlock {
         Self::default()
     }
 
-    /// Parses one CLF line and appends it to the arena. On error nothing
-    /// is stored and the error is exactly what [`LogEntry::parse`] would
-    /// report for the same line.
+    /// Parses one CLF line and appends it to the arena (a trailing
+    /// `"\n"`/`"\r\n"` is ignored). On error nothing is stored and the
+    /// error is exactly what [`LogEntry::parse`] would report for the
+    /// same line.
     ///
     /// # Errors
     ///
     /// Returns [`ParseLogError`] with the failing field kind and byte
     /// offset.
     pub fn push_line(&mut self, line: &str) -> Result<(), ParseLogError> {
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        let parts = parse_parts(trimmed)?;
+        let base = self.text.len();
+        self.text.push_str(line.trim_end_matches(['\r', '\n']));
+        self.parse_tail(base)
+    }
+
+    /// Appends an owned entry: renders its canonical line
+    /// (`entry.to_string()`) into the arena and parses it like any other
+    /// line, so the stored view is the one [`push_line`](Self::push_line)
+    /// would store for that text.
+    ///
+    /// # Errors
+    ///
+    /// [`LogEntryBuilder`](crate::LogEntryBuilder) validates no text, so
+    /// an entry can hold fields its own rendering does not survive (a
+    /// space in `ident`, a bare `"` in the referrer). Such an entry is
+    /// refused here, with the error its rendered line parses to; nothing
+    /// is stored.
+    pub fn push_entry(&mut self, entry: &LogEntry) -> Result<(), ParseLogError> {
+        let base = self.text.len();
+        write!(self.text, "{entry}").expect("writing to a String cannot fail");
+        self.parse_tail(base)
+    }
+
+    /// Parses the text appended at `base..` as one entry and records its
+    /// metadata; on a parse error truncates the text back to `base`.
+    fn parse_tail(&mut self, base: usize) -> Result<(), ParseLogError> {
+        let tail = &self.text[base..];
+        let parts = match parse_parts(tail) {
+            Ok(parts) => parts,
+            Err(error) => {
+                self.text.truncate(base);
+                return Err(error);
+            }
+        };
         let ua = normalize_ua(parts.ua);
         let (ua_fp, family) = self.interner.resolve(ua);
-        let base = self.text.len();
         let range = |s: &str| -> (u32, u32) {
             if s.is_empty() {
                 return (0, 0);
             }
-            let start = base + (s.as_ptr() as usize - trimmed.as_ptr() as usize);
+            let start = base + (s.as_ptr() as usize - tail.as_ptr() as usize);
             (start as u32, (start + s.len()) as u32)
         };
         let path_len = parts.target.find('?').unwrap_or(parts.target.len());
         self.metas.push(EntryMeta {
-            line: (base as u32, (base + trimmed.len()) as u32),
+            line: (base as u32, self.text.len() as u32),
             addr: parts.addr,
             timestamp: parts.timestamp,
             method: parts.method,
@@ -460,7 +423,6 @@ impl EntryBlock {
             family,
             resource: ResourceClass::classify(&parts.target[..path_len]),
         });
-        self.text.push_str(trimmed);
         Ok(())
     }
 
@@ -473,7 +435,6 @@ impl EntryBlock {
         let m = &self.metas[i];
         let slice = |r: (u32, u32)| &self.text[r.0 as usize..r.1 as usize];
         EntryRef {
-            line: slice(m.line),
             addr: m.addr,
             timestamp: m.timestamp,
             method: m.method,
@@ -549,33 +510,62 @@ mod tests {
         ]
     }
 
-    /// Byte-for-byte agreement of the borrowed and owned parsers on one
-    /// input: same accept/reject, same error kind and offset, and on
-    /// success every shared field matches.
+    /// Agreement of the borrowed and owned parsers on one input: same
+    /// accept/reject, same error kind and offset, and on success the
+    /// parsed view equals the owned entry's view field for field — and
+    /// every field equals the owned entry's own (allocating) accessor.
     fn assert_parsers_agree(line: &str) {
         let owned = LogEntry::parse(line);
         let borrowed = EntryRef::parse(line);
         match (owned, borrowed) {
             (Ok(o), Ok(b)) => {
-                assert_eq!(b.to_entry(), o, "to_entry mismatch on {line:?}");
-                assert_eq!(EntryView::addr(&b), EntryView::addr(&o));
-                assert_eq!(b.epoch_seconds(), EntryView::epoch_seconds(&o));
-                assert_eq!(EntryView::method(&b), EntryView::method(&o));
-                assert_eq!(b.target(), EntryView::target(&o));
-                assert_eq!(EntryView::path(&b), EntryView::path(&o));
-                assert_eq!(EntryView::status(&b), EntryView::status(&o));
-                assert_eq!(b.has_referrer(), o.has_referrer());
-                assert_eq!(b.ua_str(), EntryView::ua_str(&o));
-                assert_eq!(b.agent_family(), o.agent_family());
-                assert_eq!(b.ua_fingerprint(), o.ua_fingerprint());
-                assert_eq!(EntryView::resource_class(&b), EntryView::resource_class(&o));
-                assert_eq!(EntryView::client_key(&b), EntryView::client_key(&o));
+                assert_eq!(o.view(), b, "view mismatch on {line:?}");
+                assert_eq!(b.addr(), o.addr());
+                assert_eq!(b.timestamp(), o.timestamp());
+                assert_eq!(b.epoch_seconds(), o.timestamp().epoch_seconds());
+                assert_eq!(b.method(), o.request().method());
+                assert_eq!(b.target(), o.request().path().as_str());
+                assert_eq!(b.path(), o.request().path().path());
+                assert_eq!(b.status(), o.status());
+                assert_eq!(b.has_referrer(), o.referrer().is_some());
+                assert_eq!(b.ua_str(), o.user_agent().as_str());
+                assert_eq!(b.agent_family(), o.user_agent().family());
+                assert_eq!(b.ua_fingerprint(), o.user_agent().fingerprint());
+                assert_eq!(b.resource_class(), o.request().path().resource_class());
+                assert_eq!(b.client_key(), o.client_key());
+                assert_push_entry_agrees(&o);
             }
             (Err(oe), Err(be)) => {
                 assert_eq!(oe, be, "error mismatch on {line:?}");
             }
             (o, b) => panic!("accept/reject mismatch on {line:?}: owned {o:?} vs borrowed {b:?}"),
         }
+    }
+
+    /// `push_entry` against its contract on one entry: an entry that
+    /// survives its own rendering is stored as exactly its own view; any
+    /// other outcome of the rendering stores what `push_line` stores for
+    /// that text, or nothing.
+    fn assert_push_entry_agrees(entry: &LogEntry) {
+        let rendered = entry.to_string();
+        let mut block = EntryBlock::new();
+        block.push_line(SAMPLE).unwrap();
+        let before = (block.len(), block.text_bytes());
+        match (block.push_entry(entry), LogEntry::parse(&rendered)) {
+            (Ok(()), Ok(reparsed)) => {
+                assert_eq!(block.line(1), rendered);
+                assert_eq!(block.view(1), reparsed.view());
+                if reparsed == *entry {
+                    assert_eq!(block.view(1), entry.view(), "view drifted on {rendered:?}");
+                }
+            }
+            (Err(pushed), Err(parsed)) => {
+                assert_eq!(pushed, parsed);
+                assert_eq!((block.len(), block.text_bytes()), before);
+            }
+            (pushed, parsed) => panic!("{rendered:?}: pushed {pushed:?} vs parsed {parsed:?}"),
+        }
+        assert_eq!(block.view(0), EntryRef::parse(SAMPLE).unwrap());
     }
 
     #[test]
@@ -601,7 +591,6 @@ mod tests {
             let from_block = block.view(i);
             let standalone = EntryRef::parse(line).unwrap();
             assert_eq!(from_block, standalone, "view {i} diverged");
-            assert_eq!(from_block.to_entry(), LogEntry::parse(line).unwrap());
         }
     }
 
@@ -613,7 +602,35 @@ mod tests {
         assert!(block.push_line("garbage").is_err());
         assert_eq!((block.len(), block.text_bytes()), before);
         // The good entry is still intact after the rejected push.
-        assert_eq!(block.view(0).to_entry(), LogEntry::parse(SAMPLE).unwrap());
+        assert_eq!(block.view(0), EntryRef::parse(SAMPLE).unwrap());
+        assert_eq!(block.line(0), SAMPLE);
+    }
+
+    #[test]
+    fn block_refuses_entries_that_do_not_survive_their_rendering() {
+        let base = LogEntry::builder()
+            .addr(Ipv4Addr::new(10, 0, 0, 1))
+            .timestamp(ClfTimestamp::PAPER_WINDOW_START)
+            .request("GET /offers HTTP/1.1".parse().unwrap())
+            .status(HttpStatus::OK);
+        let mut block = EntryBlock::new();
+        block.push_entry(&base.clone().build().unwrap()).unwrap();
+        let before = (block.len(), block.text_bytes(), block.line(0).to_owned());
+        for bad in [
+            base.clone().ident("two words").build().unwrap(),
+            base.clone().referrer("say \"hi").build().unwrap(),
+        ] {
+            let expected = LogEntry::parse(&bad.to_string()).unwrap_err();
+            assert_eq!(block.push_entry(&bad), Err(expected));
+            assert_eq!(
+                (block.len(), block.text_bytes(), block.line(0).to_owned()),
+                before,
+                "a refused entry left something behind"
+            );
+        }
+        // The block keeps working after a refusal.
+        block.push_line(SAMPLE).unwrap();
+        assert_eq!(block.view(1), EntryRef::parse(SAMPLE).unwrap());
     }
 
     #[test]
@@ -626,7 +643,7 @@ mod tests {
         assert!(block.is_empty());
         assert_eq!(block.interner.len(), interned, "interner was cleared");
         block.push_line(SAMPLE).unwrap();
-        assert_eq!(block.view(0).to_entry(), LogEntry::parse(SAMPLE).unwrap());
+        assert_eq!(block.view(0), EntryRef::parse(SAMPLE).unwrap());
     }
 
     #[test]
@@ -730,6 +747,58 @@ mod tests {
             }
             let line = String::from_utf8_lossy(&bytes).into_owned();
             assert_parsers_agree(&line);
+        }
+
+        // The three view sources agree on builder-made entries whose
+        // text fields come from a pool with hostile members (spaces,
+        // bare and escaped quotes, the absent marker): `push_entry`
+        // stores the entry's own view when the entry survives its
+        // rendering and stores nothing when the rendering does not
+        // parse; what the rendering parses to agrees across
+        // `LogEntry::view`, `EntryRef::parse` and the block.
+        #[test]
+        fn view_sources_agree_on_generated_entries(
+            addr in (1u8..=254, 0u8..=255, 0u8..=255, 1u8..=254),
+            secs in 0i64..(8 * crate::SECONDS_PER_DAY),
+            method in proptest::sample::select(vec![HttpMethod::Get, HttpMethod::Head, HttpMethod::Post]),
+            target in proptest::sample::select(vec![
+                "/", "/offers?p=2", "/search?q=a?b", "/wp-admin/x.php", "/style.css",
+                "/robots.txt", "/two words", "/q\"uote", "/api/v1/ünï",
+            ]),
+            status_idx in 0usize..8,
+            bytes in proptest::option::of(0u64..10_000_000),
+            texts in (0usize..12, 0usize..12, 0usize..12, 0usize..12),
+        ) {
+            const TEXTS: [Option<&str>; 12] = [
+                None, None, None, Some("-"), Some(""), Some("alice"), Some("two words"),
+                Some("say \"hi"), Some("esc\\\"aped"), Some("https://shop.example/"),
+                Some("Mozilla/5.0 (X11; Linux x86_64)"), Some("Googlebot/2.1 ünï"),
+            ];
+            let mut builder = LogEntry::builder()
+                .addr(Ipv4Addr::new(addr.0, addr.1, addr.2, addr.3))
+                .timestamp(ClfTimestamp::PAPER_WINDOW_START.plus_seconds(secs))
+                .request(crate::RequestLine::new(
+                    method,
+                    RequestPath::parse(target),
+                    crate::HttpVersion::Http11,
+                ))
+                .status(HttpStatus::PAPER_STATUSES[status_idx])
+                .bytes(bytes);
+            if let Some(ident) = TEXTS[texts.0] {
+                builder = builder.ident(ident);
+            }
+            if let Some(user) = TEXTS[texts.1] {
+                builder = builder.user(user);
+            }
+            if let Some(referrer) = TEXTS[texts.2] {
+                builder = builder.referrer(referrer);
+            }
+            if let Some(ua) = TEXTS[texts.3] {
+                builder = builder.user_agent(ua);
+            }
+            let entry = builder.build().unwrap();
+            assert_push_entry_agrees(&entry);
+            assert_parsers_agree(&entry.to_string());
         }
 
         // The allocation-free classifiers equal their allocating forms

@@ -36,22 +36,23 @@
 //! their state per client, the output is bit-identical to a sequential
 //! run for any worker count, chunk size or push granularity.
 //!
-//! # The zero-copy spine
+//! # One entry representation
 //!
-//! Chunks come in two representations ([`ChunkPayload`]).
-//! [`Pipeline::push`]/[`push_batch`](Pipeline::push_batch) carry owned
-//! [`LogEntry`] values, exactly as before. [`Pipeline::push_line`]
-//! instead parses each raw log line **in place** into an
-//! [`EntryBlock`] arena — one contiguous text buffer plus `Copy`
-//! metadata per entry, with user-agent classification interned — and
-//! ships the whole arena to the pool when it reaches the chunk
-//! capacity. Workers run such chunks through the detectors' borrowed
-//! fast path ([`Detector::observe_batch_refs`]) over [`EntryRef`]
-//! views, so the steady-state path from line bytes to verdict performs
-//! no per-entry heap allocation. Owned `LogEntry` values are
-//! materialized lazily at finalization, only for the few positions a
-//! sink or label oracle actually consumes; finalized arenas are
-//! recycled (capacity and warm interner kept) through a small pool.
+//! Every entry the engine holds lives in an [`EntryBlock`] arena — one
+//! contiguous text buffer plus `Copy` metadata per entry, with
+//! user-agent classification interned. [`Pipeline::push_line`] parses
+//! each raw log line **in place** into the current arena;
+//! [`Pipeline::push`]/[`push_batch`](Pipeline::push_batch) render an
+//! owned [`LogEntry`]'s canonical line into the same arena and parse it
+//! there, so the two can be mixed freely without forcing a chunk
+//! boundary. The whole arena ships to the pool when it reaches the chunk
+//! capacity, and workers run it through the detectors
+//! ([`Detector::observe_batch_refs`]) over [`EntryRef`] views, so the
+//! steady-state path from line bytes to verdict performs no per-entry
+//! heap allocation. Owned `LogEntry` values are materialized lazily at
+//! finalization, only for the few positions a sink or label oracle
+//! actually consumes; finalized arenas are recycled (capacity and warm
+//! interner kept) through a small pool.
 //!
 //! [`Detector::observe_batch_refs`]: divscrape_detect::Detector::observe_batch_refs
 
@@ -61,10 +62,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use divscrape_detect::parallel::{run_index_runs, run_index_runs_refs};
+use divscrape_detect::parallel::run_index_runs;
 use divscrape_detect::{EvictionConfig, EvictionStats, Sessionizer, TenantId, Verdict};
 use divscrape_ensemble::{AlertVector, Recalibrator, ThresholdController, WeightedVote};
-use divscrape_httplog::{EntryBlock, EntryRef, EntryView, LogEntry, ParseLogError};
+use divscrape_httplog::{EntryBlock, EntryRef, LogEntry, ParseLogError};
 
 use crate::builder::{Adjudication, BuildError, DriftHook, LabelOracle, Rule};
 use crate::sink::{Alert, AlertSink, ScoredEntry};
@@ -73,35 +74,15 @@ use crate::stats::{PipelineStats, RuntimeUpdates};
 use crate::triage::{EntryAction, ReplayLoad, RetroVerdict, TriageStage};
 use crate::PipelineDetector;
 
-/// The entries of one submitted chunk, in either representation.
-#[derive(Clone)]
-enum ChunkPayload {
-    /// Owned entries, from [`Pipeline::push`]/[`Pipeline::push_batch`].
-    Owned(Arc<Vec<LogEntry>>),
-    /// A borrowed-entry arena from [`Pipeline::push_line`]: the raw line
-    /// text plus per-entry parse metadata, viewed as [`EntryRef`]s on
-    /// demand — no owned `LogEntry` exists unless finalization needs
-    /// one.
-    Views(Arc<EntryBlock>),
-}
-
-impl ChunkPayload {
-    fn len(&self) -> usize {
-        match self {
-            ChunkPayload::Owned(chunk) => chunk.len(),
-            ChunkPayload::Views(block) => block.len(),
-        }
-    }
-}
-
 /// Work shipped to a pool worker.
 enum Job {
     /// Process this worker's shard of a chunk.
     Chunk {
         /// Feed-order chunk sequence number, echoed back in the result.
         seq: u64,
-        /// The whole chunk, shared across the participating workers.
-        payload: ChunkPayload,
+        /// The whole chunk's arena, shared across the participating
+        /// workers.
+        block: Arc<EntryBlock>,
         /// Sorted chunk positions owned by this worker's shard, or
         /// `None` when the worker owns the entire chunk (single-worker
         /// pools skip the index bookkeeping entirely).
@@ -154,55 +135,32 @@ struct WorkerHandle {
 
 /// Runs one shard of one chunk through a crew of detectors, producing
 /// per-detector verdict columns. Shared by the pool workers and the
-/// single-worker inline path, so both representations take the same
-/// detector fast paths everywhere.
+/// single-worker inline path.
 fn run_shard(
     detectors: &mut [Box<dyn PipelineDetector>],
-    payload: &ChunkPayload,
+    block: &EntryBlock,
     indices: Option<&[usize]>,
 ) -> ShardColumns {
-    match payload {
-        ChunkPayload::Owned(chunk) => match indices {
-            None => ShardColumns::Whole(
-                detectors
-                    .iter_mut()
-                    .map(|det| {
-                        let mut col = Vec::with_capacity(chunk.len());
-                        det.observe_batch(chunk, &mut col);
-                        col
-                    })
-                    .collect(),
-            ),
-            Some(indices) => ShardColumns::Pairs(
-                detectors
-                    .iter_mut()
-                    .map(|det| run_index_runs(det, chunk, indices))
-                    .collect(),
-            ),
-        },
-        ChunkPayload::Views(block) => {
-            // One `Copy` view per entry, borrowed from the arena: built
-            // once per shard, shared by every detector.
-            let refs: Vec<EntryRef<'_>> = (0..block.len()).map(|i| block.view(i)).collect();
-            match indices {
-                None => ShardColumns::Whole(
-                    detectors
-                        .iter_mut()
-                        .map(|det| {
-                            let mut col = Vec::with_capacity(refs.len());
-                            det.observe_batch_refs(&refs, &mut col);
-                            col
-                        })
-                        .collect(),
-                ),
-                Some(indices) => ShardColumns::Pairs(
-                    detectors
-                        .iter_mut()
-                        .map(|det| run_index_runs_refs(det, &refs, indices))
-                        .collect(),
-                ),
-            }
-        }
+    // One `Copy` view per entry, borrowed from the arena: built once per
+    // shard, shared by every detector.
+    let refs: Vec<EntryRef<'_>> = (0..block.len()).map(|i| block.view(i)).collect();
+    match indices {
+        None => ShardColumns::Whole(
+            detectors
+                .iter_mut()
+                .map(|det| {
+                    let mut col = Vec::with_capacity(refs.len());
+                    det.observe_batch_refs(&refs, &mut col);
+                    col
+                })
+                .collect(),
+        ),
+        Some(indices) => ShardColumns::Pairs(
+            detectors
+                .iter_mut()
+                .map(|det| run_index_runs(det, &refs, indices))
+                .collect(),
+        ),
     }
 }
 
@@ -218,10 +176,8 @@ fn replay_one_load(
     for (_, line) in &load.entries {
         block
             .push_line(line)
-            .expect("replay lines were parsed before buffering");
+            .expect("replay lines were copied out of a parsed arena");
     }
-    // The borrowed fast path, exactly like a live `Views` chunk (the
-    // borrowed and owned paths are pinned verdict-identical).
     let refs: Vec<EntryRef<'_>> = (0..block.len()).map(|i| block.view(i)).collect();
     let columns: Vec<Vec<Verdict>> = detectors
         .iter_mut()
@@ -244,26 +200,15 @@ fn replay_one_load(
 /// detector's `(chunk_position, verdict)` pairs.
 fn run_live_segment(
     detectors: &mut [Box<dyn PipelineDetector>],
-    payload: &ChunkPayload,
-    refs: Option<&[EntryRef<'_>]>,
+    refs: &[EntryRef<'_>],
     indices: &[usize],
     pairs: &mut [Vec<(usize, Verdict)>],
 ) {
     if indices.is_empty() {
         return;
     }
-    match payload {
-        ChunkPayload::Owned(chunk) => {
-            for (det, out) in detectors.iter_mut().zip(pairs.iter_mut()) {
-                out.extend(run_index_runs(det, chunk, indices));
-            }
-        }
-        ChunkPayload::Views(_) => {
-            let refs = refs.expect("views payloads carry prebuilt refs");
-            for (det, out) in detectors.iter_mut().zip(pairs.iter_mut()) {
-                out.extend(run_index_runs_refs(det, refs, indices));
-            }
-        }
+    for (det, out) in detectors.iter_mut().zip(pairs.iter_mut()) {
+        out.extend(run_index_runs(det, refs, indices));
     }
 }
 
@@ -278,25 +223,22 @@ fn run_live_segment(
 /// by the pool workers and the single-worker inline path.
 fn run_shard_with_replays(
     detectors: &mut [Box<dyn PipelineDetector>],
-    payload: &ChunkPayload,
+    chunk: &EntryBlock,
     indices: Option<&[usize]>,
     mut loads: Vec<ReplayLoad>,
 ) -> (ShardColumns, Vec<RetroVerdict>) {
     if loads.is_empty() {
-        return (run_shard(detectors, payload, indices), Vec::new());
+        return (run_shard(detectors, chunk, indices), Vec::new());
     }
     let whole: Vec<usize>;
     let indices = match indices {
         Some(indices) => indices,
         None => {
-            whole = (0..payload.len()).collect();
+            whole = (0..chunk.len()).collect();
             &whole
         }
     };
-    let refs: Option<Vec<EntryRef<'_>>> = match payload {
-        ChunkPayload::Owned(_) => None,
-        ChunkPayload::Views(block) => Some((0..block.len()).map(|i| block.view(i)).collect()),
-    };
+    let refs: Vec<EntryRef<'_>> = (0..chunk.len()).map(|i| chunk.view(i)).collect();
     loads.sort_by_key(|load| load.trigger_pos);
     let mut pairs: Vec<Vec<(usize, Verdict)>> = vec![Vec::new(); detectors.len()];
     let mut retro = Vec::new();
@@ -304,23 +246,11 @@ fn run_shard_with_replays(
     let mut start = 0usize;
     for load in loads {
         let cut = start + indices[start..].partition_point(|&pos| pos < load.trigger_pos);
-        run_live_segment(
-            detectors,
-            payload,
-            refs.as_deref(),
-            &indices[start..cut],
-            &mut pairs,
-        );
+        run_live_segment(detectors, &refs, &indices[start..cut], &mut pairs);
         start = cut;
         replay_one_load(detectors, load, &mut block, &mut retro);
     }
-    run_live_segment(
-        detectors,
-        payload,
-        refs.as_deref(),
-        &indices[start..],
-        &mut pairs,
-    );
+    run_live_segment(detectors, &refs, &indices[start..], &mut pairs);
     (ShardColumns::Pairs(pairs), retro)
 }
 
@@ -339,14 +269,14 @@ fn spawn_worker(
                 match job {
                     Job::Chunk {
                         seq,
-                        payload,
+                        block,
                         indices,
                         replays,
                     } => {
                         let started = Instant::now();
                         let (columns, retro) = run_shard_with_replays(
                             &mut detectors,
-                            &payload,
+                            &block,
                             indices.as_deref(),
                             replays,
                         );
@@ -385,7 +315,8 @@ fn spawn_worker(
 
 /// A submitted chunk waiting for its worker results.
 struct PendingChunk {
-    payload: ChunkPayload,
+    /// The chunk's entries; recycled into the block pool at finalization.
+    block: Arc<EntryBlock>,
     /// Workers that still owe a result for this chunk.
     awaiting: usize,
     /// Per detector, one verdict per chunk position (scattered in as
@@ -538,12 +469,8 @@ pub struct Pipeline {
     /// window (advances at [`drain`](Self::drain)); maps a replayed
     /// entry's index to its `acc_*` position.
     acc_base: u64,
-    buffer: Vec<LogEntry>,
-    /// The borrowed-entry arena [`push_line`](Self::push_line) parses
-    /// into; submitted as a [`ChunkPayload::Views`] chunk when it
-    /// reaches the chunk capacity. At most one of `buffer`/`block` is
-    /// non-empty (each push flavor flushes the other's residue first,
-    /// preserving feed order across mixed ingestion).
+    /// The one ingest buffer: the arena every push flavor appends to,
+    /// submitted as a chunk when it reaches the chunk capacity.
     block: EntryBlock,
     /// Finalized arenas ready for reuse — text/meta capacity and the
     /// warm user-agent interner kept, so steady-state `push_line`
@@ -577,7 +504,7 @@ impl std::fmt::Debug for Pipeline {
             .field("workers", &self.worker_count())
             .field("chunk_capacity", &self.chunk_capacity)
             .field("queue_depth", &self.queue_depth)
-            .field("buffered", &self.buffer.len())
+            .field("buffered", &self.block.len())
             .field("inflight_chunks", &self.inflight.len())
             .field("processed", &self.finalized)
             .finish()
@@ -698,7 +625,6 @@ impl Pipeline {
             chunk_capacity,
             queue_depth,
             eviction,
-            buffer: Vec::new(),
             block: EntryBlock::new(),
             block_pool: Vec::new(),
             acc_combined: Vec::new(),
@@ -899,10 +825,9 @@ impl Pipeline {
         self.submitted + self.pending() as u64
     }
 
-    /// Entries buffered on the driver and not yet submitted to the pool
-    /// (owned entries plus lines parsed in place).
+    /// Entries buffered on the driver and not yet submitted to the pool.
     pub fn pending(&self) -> usize {
-        self.buffer.len() + self.block.len()
+        self.block.len()
     }
 
     /// A snapshot of the pipeline's operational counters: throughput,
@@ -910,7 +835,7 @@ impl Pipeline {
     /// reads driver-side accumulators only (worker eviction footprints
     /// are as of each worker's most recently collected result).
     pub fn stats(&self) -> PipelineStats {
-        let inflight_entries: usize = self.inflight.values().map(|p| p.payload.len()).sum();
+        let inflight_entries: usize = self.inflight.values().map(|p| p.block.len()).sum();
         let (current_weights, current_threshold) = match &self.rule {
             Rule::Weighted(rule) => (Some(rule.weights().to_vec()), Some(rule.threshold())),
             Rule::KOutOfN(_) => (None, None),
@@ -963,30 +888,41 @@ impl Pipeline {
         }
     }
 
-    /// Feeds one entry, submitting a chunk to the pool if the buffer is
-    /// full. Blocks (backpressure) when a chunk must be submitted and
-    /// either a target worker's job queue is full or the number of
-    /// in-flight chunks has reached `workers × queue_depth + 1`.
+    /// Feeds one owned entry: its canonical line (`entry.to_string()`)
+    /// is rendered into the pipeline's current entry arena and parsed
+    /// there, exactly as [`push_line`](Self::push_line) would parse that
+    /// text. Submits a chunk to the pool if the arena is full; blocks
+    /// (backpressure) when a chunk must be submitted and either a target
+    /// worker's job queue is full or the number of in-flight chunks has
+    /// reached `workers × queue_depth + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the entry's feed-order index and the parse error,
+    /// when the entry does not survive its own rendering —
+    /// [`LogEntryBuilder`](divscrape_httplog::LogEntryBuilder) validates
+    /// no text, so e.g. a space in `ident` or a bare `"` in the referrer
+    /// yields an entry whose line does not re-parse. Every entry that
+    /// came out of [`LogEntry::parse`] or the traffic generator is fine.
     pub fn push(&mut self, entry: LogEntry) {
-        self.flush_block_residue();
-        self.buffer.push(entry);
-        self.flush_full_chunks();
+        self.push_entry(&entry);
     }
 
     /// Feeds one raw Combined Log Format line, parsed **in place** into
-    /// the pipeline's current entry arena — the zero-copy twin of
-    /// [`push`](Self::push). The line text is copied once into the
-    /// arena's contiguous buffer and never again: detectors observe it
-    /// through borrowed [`EntryRef`] views, and an owned [`LogEntry`] is
-    /// materialized only if an alert sink or label oracle needs one at
-    /// finalization. Arenas are recycled after finalization, so
-    /// steady-state ingestion performs no per-entry heap allocation.
+    /// the pipeline's current entry arena. The line text is copied once
+    /// into the arena's contiguous buffer and never again: detectors
+    /// observe it through borrowed [`EntryRef`] views, and an owned
+    /// [`LogEntry`] is materialized only if an alert sink or label
+    /// oracle needs one at finalization. Arenas are recycled after
+    /// finalization, so steady-state ingestion performs no per-entry
+    /// heap allocation.
     ///
     /// Verdicts are bit-identical to parsing the line yourself and
-    /// calling [`push`](Self::push) — both flavors share one parser —
-    /// and the two can be mixed freely on one stream (feed order is
-    /// preserved). Blocks exactly like `push` when a chunk must be
-    /// submitted against a saturated pool.
+    /// calling [`push`](Self::push) — both land in the same arena
+    /// through one parser — and the two can be mixed freely on one
+    /// stream (feed order is preserved, no chunk boundary is forced).
+    /// Blocks exactly like `push` when a chunk must be submitted against
+    /// a saturated pool.
     ///
     /// A trailing `"\n"`/`"\r\n"` is accepted and ignored.
     ///
@@ -1013,14 +949,9 @@ impl Pipeline {
     /// and the stream is unaffected — identical accept/reject behavior
     /// to [`LogEntry::parse`].
     pub fn push_line(&mut self, line: &str) -> Result<(), ParseLogError> {
-        // Feed order across mixed ingestion: owned residue first.
-        if !self.buffer.is_empty() {
-            let residue = std::mem::take(&mut self.buffer);
-            self.submit_chunk(residue);
-        }
         self.block.push_line(line)?;
         if self.block.len() >= self.chunk_capacity {
-            self.flush_block_residue();
+            self.flush_residue();
         }
         Ok(())
     }
@@ -1028,25 +959,33 @@ impl Pipeline {
     /// Feeds a batch of entries, submitting chunks as they fill. Any
     /// chunking of a log — including one entry at a time — yields
     /// identical verdicts. The batch is consumed one chunk at a time
-    /// (copy a chunk's worth, submit, repeat), so entries held by the
-    /// pipeline stay bounded by the configured chunk capacity and queue
-    /// depths regardless of the batch size — a batch larger than the
-    /// in-flight budget simply blocks in here (backpressure) while the
-    /// caller's slice is read in place.
+    /// (render a chunk's worth into the arena, submit, repeat), so
+    /// entries held by the pipeline stay bounded by the configured chunk
+    /// capacity and queue depths regardless of the batch size — a batch
+    /// larger than the in-flight budget simply blocks in here
+    /// (backpressure) while the caller's slice is read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first entry that does not survive its own
+    /// rendering (see [`push`](Self::push)); the entries before it have
+    /// been accepted.
     pub fn push_batch(&mut self, entries: &[LogEntry]) {
-        self.flush_block_residue();
-        let mut rest = entries;
-        loop {
-            let room = self.chunk_capacity - self.buffer.len();
-            if rest.len() < room {
-                self.buffer.extend_from_slice(rest);
-                return;
-            }
-            let (take, tail) = rest.split_at(room);
-            rest = tail;
-            self.buffer.extend_from_slice(take);
-            let chunk = std::mem::take(&mut self.buffer);
-            self.submit_chunk(chunk);
+        for entry in entries {
+            self.push_entry(entry);
+        }
+    }
+
+    /// Appends one owned entry to the arena, submitting it when full.
+    fn push_entry(&mut self, entry: &LogEntry) {
+        if let Err(error) = self.block.push_entry(entry) {
+            panic!(
+                "entry {} does not survive its own rendering ({error}): `{entry}`",
+                self.requests_seen()
+            );
+        }
+        if self.block.len() >= self.chunk_capacity {
+            self.flush_residue();
         }
     }
 
@@ -1065,7 +1004,6 @@ impl Pipeline {
     /// every client's entries still reach its owning worker in feed
     /// order.
     pub fn drain(&mut self) -> PipelineReport {
-        self.flush_full_chunks();
         self.flush_residue();
         self.wait_for_inflight();
         // A rule change requested after the last pushed entry has no
@@ -1144,7 +1082,6 @@ impl Pipeline {
         }
         // The stream restarts under whatever rule is installed now.
         self.initial_rule = self.rule.clone();
-        self.buffer.clear();
         self.block.clear();
         self.acc_combined.clear();
         for acc in &mut self.acc_members {
@@ -1158,35 +1095,17 @@ impl Pipeline {
         self.worker_evict = vec![EvictionStats::default(); self.worker_evict.len()];
     }
 
-    /// Submits capacity-sized chunks while the buffer holds at least one.
-    fn flush_full_chunks(&mut self) {
-        while self.buffer.len() >= self.chunk_capacity {
-            let chunk: Vec<LogEntry> = self.buffer.drain(..self.chunk_capacity).collect();
-            self.submit_chunk(chunk);
-        }
-    }
-
-    /// Submits whatever is buffered in either representation — the
-    /// boundary flush used by `drain`, `set_eviction` and
-    /// `set_adjudication`. At most one of the two buffers is non-empty
-    /// (see the field invariant), so the order here is immaterial.
-    fn flush_residue(&mut self) {
-        if !self.buffer.is_empty() {
-            let residue = std::mem::take(&mut self.buffer);
-            self.submit_chunk(residue);
-        }
-        self.flush_block_residue();
-    }
-
     /// Submits the partially filled entry arena, swapping in a recycled
-    /// (or fresh) one.
-    fn flush_block_residue(&mut self) {
+    /// (or fresh) one — the boundary flush used by `drain`,
+    /// `set_eviction` and `set_adjudication`, and the capacity flush of
+    /// every push flavor.
+    fn flush_residue(&mut self) {
         if self.block.is_empty() {
             return;
         }
         let fresh = self.block_pool.pop().unwrap_or_default();
         let block = std::mem::replace(&mut self.block, fresh);
-        self.submit_payload(ChunkPayload::Views(Arc::new(block)));
+        self.submit_block(Arc::new(block));
     }
 
     /// Hard cap on chunks in flight. Per-worker queues alone do not
@@ -1199,26 +1118,20 @@ impl Pipeline {
         self.workers.len() * self.queue_depth + 1
     }
 
-    /// Ships one owned chunk to the pool.
-    fn submit_chunk(&mut self, chunk: Vec<LogEntry>) {
-        self.submit_payload(ChunkPayload::Owned(Arc::new(chunk)));
-    }
-
-    /// Ships one chunk (either representation) to the pool: client-shards
-    /// it, enqueues a job per participating worker (blocking on full
-    /// queues or a full reorder buffer — this is where backpressure
-    /// bites) and opportunistically finalizes any chunks whose results
-    /// are already back.
-    fn submit_payload(&mut self, payload: ChunkPayload) {
-        debug_assert!(payload.len() > 0, "never submit an empty chunk");
+    /// Ships one chunk to the pool: client-shards it, enqueues a job per
+    /// participating worker (blocking on full queues or a full reorder
+    /// buffer — this is where backpressure bites) and opportunistically
+    /// finalizes any chunks whose results are already back.
+    fn submit_block(&mut self, block: Arc<EntryBlock>) {
+        debug_assert!(!block.is_empty(), "never submit an empty chunk");
         // Triage runs serially on the driver, in feed order, before
         // sharding — so a client's escalation point is a deterministic
         // function of its stream position, independent of worker count.
-        let plan = self.triage_chunk(&payload);
+        let plan = self.triage_chunk(&block);
         // Single-worker pipelines run the chunk inline on the driver:
         // maximal backpressure, zero handoff.
         if self.inline_crew.is_some() {
-            self.process_chunk_inline(payload, plan);
+            self.process_chunk_inline(block, plan);
             return;
         }
         // Backpressure, part one: keep the reorder buffer at or under
@@ -1232,7 +1145,7 @@ impl Pipeline {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let n = payload.len();
+        let n = block.len();
         let n_detectors = self.names.len();
         let shard_count = self.workers.len();
 
@@ -1242,14 +1155,11 @@ impl Pipeline {
         // Triaged chunks always carry explicit (live-only) indices, so
         // suppressed positions are simply never assigned to any shard.
         let jobs: Vec<(usize, Option<Vec<usize>>, Vec<ReplayLoad>)> = if let Some(plan) = plan {
-            let key_of = |i: usize| match &payload {
-                ChunkPayload::Owned(chunk) => chunk[i].client_key(),
-                ChunkPayload::Views(block) => block.view(i).client_key(),
-            };
             let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
             for i in 0..n {
                 if !plan.mask[i] {
-                    shards[Sessionizer::shard_of(&key_of(i), shard_count)].push(i);
+                    let key = block.view(i).client_key();
+                    shards[Sessionizer::shard_of(&key, shard_count)].push(i);
                 }
             }
             // A replay load always reaches the worker that owns its
@@ -1270,18 +1180,9 @@ impl Pipeline {
             vec![(0, None, Vec::new())]
         } else {
             let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-            match &payload {
-                ChunkPayload::Owned(chunk) => {
-                    for (i, e) in chunk.iter().enumerate() {
-                        shards[Sessionizer::shard_of(&e.client_key(), shard_count)].push(i);
-                    }
-                }
-                ChunkPayload::Views(block) => {
-                    for i in 0..block.len() {
-                        let key = block.view(i).client_key();
-                        shards[Sessionizer::shard_of(&key, shard_count)].push(i);
-                    }
-                }
+            for i in 0..n {
+                let key = block.view(i).client_key();
+                shards[Sessionizer::shard_of(&key, shard_count)].push(i);
             }
             if shards.iter().filter(|shard| !shard.is_empty()).count() == 1 {
                 let owner = shards.iter().position(|shard| !shard.is_empty()).unwrap();
@@ -1306,7 +1207,7 @@ impl Pipeline {
         self.inflight.insert(
             seq,
             PendingChunk {
-                payload: payload.clone(),
+                block: Arc::clone(&block),
                 awaiting: jobs.len(),
                 columns,
                 retro: Vec::new(),
@@ -1318,7 +1219,7 @@ impl Pipeline {
         for (worker, indices, replays) in jobs {
             let mut job = Job::Chunk {
                 seq,
-                payload: payload.clone(),
+                block: Arc::clone(&block),
                 indices,
                 replays,
             };
@@ -1355,32 +1256,20 @@ impl Pipeline {
     /// Runs the triage stage over one chunk, in feed order, before it is
     /// sharded. Returns the suppression mask and replay loads, or `None`
     /// when every entry should process normally.
-    fn triage_chunk(&mut self, payload: &ChunkPayload) -> Option<TriagePlan> {
+    fn triage_chunk(&mut self, block: &EntryBlock) -> Option<TriagePlan> {
         let base = self.submitted;
         let stage = self.triage.as_mut()?;
-        let n = payload.len();
-        let mut mask = vec![false; n];
+        let mut mask = vec![false; block.len()];
         let mut suppressed = 0usize;
         let mut loads = Vec::new();
-        for i in 0..n {
+        for (i, masked) in mask.iter_mut().enumerate() {
             let index = base + i as u64;
-            let action = match payload {
-                // Buffered lines round-trip through the shared CLF
-                // parser, so a replayed entry is bit-identical to the
-                // one the detectors would have seen live.
-                ChunkPayload::Owned(chunk) => {
-                    let entry = &chunk[i];
-                    stage.admit(entry, index, || entry.to_string())
-                }
-                ChunkPayload::Views(block) => {
-                    let view = block.view(i);
-                    stage.admit(&view, index, || block.line(i).to_owned())
-                }
-            };
-            match action {
+            // A buffered line re-parses to the view the detectors would
+            // have seen live: it is the arena text that view borrows.
+            match stage.admit(&block.view(i), index, block.line(i)) {
                 EntryAction::Process => {}
                 EntryAction::Suppress => {
-                    mask[i] = true;
+                    *masked = true;
                     suppressed += 1;
                 }
                 EntryAction::Replay(mut load) => {
@@ -1399,14 +1288,14 @@ impl Pipeline {
 
     /// Runs one chunk through the inline crew on the driver thread and
     /// finalizes it immediately — the single-worker execution path.
-    fn process_chunk_inline(&mut self, payload: ChunkPayload, plan: Option<TriagePlan>) {
+    fn process_chunk_inline(&mut self, block: Arc<EntryBlock>, plan: Option<TriagePlan>) {
         let started = Instant::now();
         let crew = self.inline_crew.as_mut().expect("inline pipeline");
-        let n = payload.len();
+        let n = block.len();
         let n_detectors = self.names.len();
         let (columns, retro) = match plan {
             None => {
-                let columns = match run_shard(crew, &payload, None) {
+                let columns = match run_shard(crew, &block, None) {
                     ShardColumns::Whole(columns) => columns,
                     ShardColumns::Pairs(_) => unreachable!("unsharded run returns whole columns"),
                 };
@@ -1415,8 +1304,7 @@ impl Pipeline {
             Some(plan) => {
                 let live: Vec<usize> = (0..n).filter(|&i| !plan.mask[i]).collect();
                 let mut columns = vec![vec![Verdict::CLEAR; n]; n_detectors];
-                let (shard, retro) =
-                    run_shard_with_replays(crew, &payload, Some(&live), plan.loads);
+                let (shard, retro) = run_shard_with_replays(crew, &block, Some(&live), plan.loads);
                 match shard {
                     ShardColumns::Pairs(per_detector) => {
                         for (det, pairs) in per_detector.into_iter().enumerate() {
@@ -1442,7 +1330,7 @@ impl Pipeline {
         self.finalize(
             seq,
             PendingChunk {
-                payload,
+                block,
                 awaiting: 0,
                 columns,
                 retro,
@@ -1541,12 +1429,12 @@ impl Pipeline {
         // never mid-chunk.
         self.install_due_rules(seq);
         let PendingChunk {
-            payload,
+            block,
             mut columns,
             retro,
             ..
         } = pending;
-        let n = payload.len();
+        let n = block.len();
         let n_detectors = self.names.len();
 
         // Replayed-history verdicts. An entry replayed from **this**
@@ -1613,17 +1501,10 @@ impl Pipeline {
                 if !alerted && entry_sinks.is_empty() {
                     continue;
                 }
-                // Borrowed chunks materialize an owned entry only here
-                // — for the few positions a sink actually consumes.
-                let materialized;
-                let entry: &LogEntry = match &payload {
-                    ChunkPayload::Owned(chunk) => &chunk[i],
-                    ChunkPayload::Views(block) => {
-                        materialized = LogEntry::parse(block.line(i))
-                            .expect("arena lines are stored only after a successful parse");
-                        &materialized
-                    }
-                };
+                // An owned entry is materialized only here — for the
+                // few positions a sink actually consumes.
+                let entry = &LogEntry::parse(block.line(i))
+                    .expect("arena lines are stored only after a successful parse");
                 for (vote, member) in votes.iter_mut().zip(&member_bools) {
                     *vote = member[i];
                 }
@@ -1660,7 +1541,7 @@ impl Pipeline {
             self.stats.sink_busy += sink_started.elapsed();
         }
 
-        self.observe_for_recalibration(&payload, &columns, &member_bools);
+        self.observe_for_recalibration(&block, &columns, &member_bools);
         self.observe_for_threshold_control(&combined_bools);
 
         self.finalized += n as u64;
@@ -1673,12 +1554,10 @@ impl Pipeline {
         // Recycle the chunk's arena: once the workers have dropped their
         // handles this is the last one, so the block (its capacity and
         // warm interner) goes back to the pool for the next chunk.
-        if let ChunkPayload::Views(block) = payload {
-            if self.block_pool.len() <= self.inflight_cap() {
-                if let Ok(mut block) = Arc::try_unwrap(block) {
-                    block.clear();
-                    self.block_pool.push(block);
-                }
+        if self.block_pool.len() <= self.inflight_cap() {
+            if let Ok(mut block) = Arc::try_unwrap(block) {
+                block.clear();
+                self.block_pool.push(block);
             }
         }
     }
@@ -1712,7 +1591,7 @@ impl Pipeline {
                 if !self.sinks.is_empty() {
                     let sink_started = Instant::now();
                     let entry = LogEntry::parse(&rv.line)
-                        .expect("replay lines were parsed before buffering");
+                        .expect("replay lines were copied out of a parsed arena");
                     let scores: Vec<f32> = rv.verdicts.iter().map(|v| v.confidence()).collect();
                     let alert = Alert {
                         index: rv.index,
@@ -1784,7 +1663,7 @@ impl Pipeline {
     /// at the **next** chunk boundary.
     fn observe_for_recalibration(
         &mut self,
-        payload: &ChunkPayload,
+        block: &EntryBlock,
         columns: &[Vec<Verdict>],
         member_bools: &[Vec<bool>],
     ) {
@@ -1796,24 +1675,17 @@ impl Pipeline {
         let derived = {
             let mut row = vec![false; member_bools.len()];
             let mut confidence = vec![0.0f64; member_bools.len()];
-            for i in 0..payload.len() {
+            for i in 0..block.len() {
                 for (slot, member) in row.iter_mut().zip(member_bools) {
                     *slot = member[i];
                 }
                 // The oracle is the one consumer here that needs an
-                // owned entry; borrowed chunks materialize it lazily,
-                // and not at all without an oracle.
+                // owned entry; it is materialized lazily, and not at
+                // all without an oracle.
                 let label = labels.as_mut().and_then(|oracle| {
-                    let materialized;
-                    let entry: &LogEntry = match payload {
-                        ChunkPayload::Owned(chunk) => &chunk[i],
-                        ChunkPayload::Views(block) => {
-                            materialized = LogEntry::parse(block.line(i))
-                                .expect("arena lines are stored only after a successful parse");
-                            &materialized
-                        }
-                    };
-                    oracle(base + i as u64, entry)
+                    let entry = LogEntry::parse(block.line(i))
+                        .expect("arena lines are stored only after a successful parse");
+                    oracle(base + i as u64, &entry)
                 });
                 match label {
                     Some(malicious) => recal.observe_labeled(&row, malicious),
@@ -1839,7 +1711,7 @@ impl Pipeline {
             );
             self.stats.updates.adjudication += 1;
             self.schedule.push(AppliedRuleUpdate {
-                at_entry: base + payload.len() as u64,
+                at_entry: base + block.len() as u64,
                 weights: update.weights,
                 threshold: update.threshold,
                 provenance: RuleProvenance::LearnedWeights,
@@ -2221,6 +2093,30 @@ mod tests {
             pipeline.pending()
         );
         assert_eq!(pipeline.drain().combined.to_bools(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 3 does not survive its own rendering")]
+    fn an_entry_that_does_not_survive_its_rendering_fails_at_the_push() {
+        // The builder validates no text: a space in `ident` shifts every
+        // later field of the rendered line. The offending push itself
+        // must fail, not a triage replay or a sink read much later.
+        let log = generate(&ScenarioConfig::tiny(31)).unwrap();
+        let first = &log.entries()[0];
+        let bad = LogEntry::builder()
+            .addr(first.addr())
+            .ident("two words")
+            .timestamp(first.timestamp())
+            .request(first.request().clone())
+            .status(first.status())
+            .build()
+            .unwrap();
+        let mut pipeline = PipelineBuilder::new()
+            .detector(Sentinel::stock())
+            .build()
+            .unwrap();
+        pipeline.push_batch(&log.entries()[..3]);
+        pipeline.push(bad);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   ([`CountingSink`], [`CollectingSink`]), file ([`JsonLinesSink`]) or
 //!   network ([`TcpSink`]) backends, flushed on every drain.
 //! * [`Pipeline`] accepts traffic incrementally — [`push`](Pipeline::push)
-//!   one entry, [`push_batch`](Pipeline::push_batch) a slice — buffers it
-//!   into chunks, and runs each chunk through every detector's batched
-//!   fast path ([`Detector::observe_batch`]).
+//!   one entry, [`push_batch`](Pipeline::push_batch) a slice,
+//!   [`push_line`](Pipeline::push_line) a raw log line — buffers it into
+//!   one chunk arena, and runs each chunk through every detector's
+//!   batched fast path ([`Detector::observe_batch_refs`]).
 //! * With [`workers(n)`](PipelineBuilder::workers), the pipeline runs a
 //!   **persistent worker pool**: `n` long-lived threads, each owning its
 //!   own replica of every detector for the pipeline's lifetime. Chunks

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use divscrape_detect::triage::{TriageDecision, TriageFilter};
 use divscrape_detect::{ClientKey, Verdict};
-use divscrape_httplog::EntryView;
+use divscrape_httplog::EntryRef;
 
 /// One escalated client's buffered history, in feed order — shipped to
 /// the worker owning the client's shard.
@@ -115,19 +115,14 @@ impl TriageStage {
         }
     }
 
-    /// Admits one entry in feed order. `line` is only invoked when the
-    /// entry is actually buffered.
-    pub fn admit(
-        &mut self,
-        entry: &dyn EntryView,
-        index: u64,
-        line: impl FnOnce() -> String,
-    ) -> EntryAction {
+    /// Admits one entry in feed order. `line` (the entry's arena text)
+    /// is only copied when the entry is actually buffered.
+    pub fn admit(&mut self, entry: &EntryRef<'_>, index: u64, line: &str) -> EntryAction {
         match self.filter.classify(entry) {
             TriageDecision::Escalated => EntryAction::Process,
             TriageDecision::Benign => {
                 let key = entry.client_key();
-                let text = line();
+                let text = line.to_owned();
                 self.bytes += text.len();
                 let buffer = self.buffers.entry(key).or_default();
                 if buffer.entries.is_empty() {
@@ -232,14 +227,14 @@ mod tests {
         for (i, l) in lines.iter().enumerate() {
             let entry = LogEntry::parse(l).unwrap();
             assert!(matches!(
-                stage.admit(&entry, i as u64, || l.clone()),
+                stage.admit(&entry.view(), i as u64, l),
                 EntryAction::Suppress
             ));
         }
         // A probe path escalates; the buffered history comes back whole.
         let trigger = line("10.0.0.9", 10, "/wp-admin/setup.php", BROWSER_UA);
         let entry = LogEntry::parse(&trigger).unwrap();
-        match stage.admit(&entry, 4, || trigger.clone()) {
+        match stage.admit(&entry.view(), 4, &trigger) {
             EntryAction::Replay(load) => {
                 assert_eq!(load.entries.len(), 4);
                 let indices: Vec<u64> = load.entries.iter().map(|(i, _)| *i).collect();
@@ -265,11 +260,11 @@ mod tests {
         let ea = LogEntry::parse(&a).unwrap();
         let eb = LogEntry::parse(&b).unwrap();
         assert!(matches!(
-            stage.admit(&ea, 0, || a.clone()),
+            stage.admit(&ea.view(), 0, &a),
             EntryAction::Suppress
         ));
         assert!(matches!(
-            stage.admit(&eb, 1, || b.clone()),
+            stage.admit(&eb.view(), 1, &b),
             EntryAction::Suppress
         ));
         assert_eq!(stage.counters.spilled, 1);
@@ -277,13 +272,13 @@ mod tests {
         let trigger_a = line("10.0.0.1", 5, "/robots.txt", BROWSER_UA);
         let et = LogEntry::parse(&trigger_a).unwrap();
         assert!(matches!(
-            stage.admit(&et, 2, || trigger_a.clone()),
+            stage.admit(&et.view(), 2, &trigger_a),
             EntryAction::Process
         ));
         // Client B's buffer survived intact.
         let trigger_b = line("10.0.0.2", 6, "/robots.txt", BROWSER_UA);
         let et = LogEntry::parse(&trigger_b).unwrap();
-        match stage.admit(&et, 3, || trigger_b.clone()) {
+        match stage.admit(&et.view(), 3, &trigger_b) {
             EntryAction::Replay(load) => assert_eq!(load.entries.len(), 1),
             _ => panic!("expected replay"),
         }
@@ -294,14 +289,14 @@ mod tests {
         let mut stage = stage(1 << 20);
         let l = line("10.0.0.3", 0, "/offers/1", BROWSER_UA);
         let e = LogEntry::parse(&l).unwrap();
-        stage.admit(&e, 0, || l.clone());
+        stage.admit(&e.view(), 0, &l);
         stage.reset();
         assert_eq!(stage.bytes, 0);
         assert_eq!(stage.counters.suppressed, 0);
         assert!(stage.buffers.is_empty());
         // After reset the same entry is classified fresh.
         assert!(matches!(
-            stage.admit(&e, 0, || l.clone()),
+            stage.admit(&e.view(), 0, &l),
             EntryAction::Suppress
         ));
     }

@@ -3,13 +3,13 @@
 //! measure its diversity and fold it into a 2-out-of-3 majority vote.
 //!
 //! Any detector that is `Clone + Send` slots straight into a pipeline —
-//! including across sharded workers. `observe` alone is enough to be
-//! correct, but a pipeline fed raw lines (`push_line`, every ingest
-//! source) hands detectors borrowed [`EntryRef`]s, and the trait's
-//! default `observe_batch_refs` re-parses each one into an owned
-//! `LogEntry` (~3 allocations per entry). The pattern below — one core
-//! generic over [`EntryView`], all three trait methods forwarding to it
-//! — is how every stock detector avoids that.
+//! including across sharded workers. `observe` is the whole obligation:
+//! it reads the same borrowed [`EntryRef`] view every stock detector
+//! reads, whichever way the entry was fed, and the trait's default
+//! `observe_batch_refs` loops over it without allocating. Override the
+//! batch method only to amortize per-client work over runs of
+//! same-client entries, as the stock detectors do; verdicts must not
+//! change.
 //!
 //! ```text
 //! cargo run --release --example custom_detector
@@ -17,12 +17,11 @@
 //!
 //! [`Pipeline`]: divscrape_pipeline::Pipeline
 //! [`EntryRef`]: divscrape_httplog::EntryRef
-//! [`EntryView`]: divscrape_httplog::EntryView
 
 use divscrape_detect::{Arcane, Detector, Sentinel, Sessionizer, Verdict};
 use divscrape_ensemble::report::{percent, TextTable};
 use divscrape_ensemble::{AgreementDiversity, ConfusionMatrix, KOutOfN};
-use divscrape_httplog::{EntryRef, EntryView, LogEntry};
+use divscrape_httplog::EntryRef;
 use divscrape_pipeline::{Adjudication, PipelineBuilder};
 use divscrape_traffic::{generate, ScenarioConfig};
 
@@ -33,10 +32,12 @@ struct OfferVelocity {
     sessions: Sessionizer,
 }
 
-impl OfferVelocity {
-    /// The whole heuristic, written once over [`EntryView`] so owned
-    /// `LogEntry`s and borrowed `EntryRef`s share it.
-    fn observe_view<E: EntryView>(&mut self, entry: &E) -> Verdict {
+impl Detector for OfferVelocity {
+    fn name(&self) -> &str {
+        "offer-velocity"
+    }
+
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
         let f = self.sessions.observe(entry);
         // ≥ 30 offer pages at a mean pace under 4 s/request is not a person
         // comparing fares.
@@ -45,30 +46,6 @@ impl OfferVelocity {
             velocity,
             f.offer_hits as f32 / f.mean_gap_secs().max(0.1) as f32,
         )
-    }
-
-    fn batch_core<E: EntryView>(&mut self, entries: &[E], out: &mut Vec<Verdict>) {
-        out.extend(entries.iter().map(|entry| self.observe_view(entry)));
-    }
-}
-
-impl Detector for OfferVelocity {
-    fn name(&self) -> &str {
-        "offer-velocity"
-    }
-
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
-        self.observe_view(entry)
-    }
-
-    fn observe_batch(&mut self, entries: &[LogEntry], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
-    }
-
-    // Without this override a `push_line` pipeline would re-parse every
-    // entry for this member; with it the borrowed views are read in place.
-    fn observe_batch_refs(&mut self, entries: &[EntryRef<'_>], out: &mut Vec<Verdict>) {
-        self.batch_core(entries, out);
     }
 
     fn reset(&mut self) {
@@ -140,8 +117,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .apply(&[&sentinel, &arcane, &custom]);
     assert_eq!(streamed.combined.to_bools(), offline.to_bools());
 
-    // Fed as raw lines instead, the same three tools see borrowed views
-    // (`observe_batch_refs`) and must reach the same verdicts.
+    // Fed as raw lines instead, the same three tools see the same views
+    // and must reach the same verdicts.
     let mut from_lines = build()?;
     for entry in log.entries() {
         from_lines.push_line(&entry.to_string())?;

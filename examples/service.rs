@@ -20,8 +20,8 @@
 //! tenant mid-flight.
 //!
 //! `--bench` races a 1-shard plane (one driver thread per tenant)
-//! against a 4-shard plane over the same log and appends one record to `BENCH_service.json` in the
-//! `BENCH_zero_copy.json` trajectory format (see `docs/CI.md`).
+//! against a 4-shard plane over the same log and appends one record to
+//! `BENCH_service.json` (format in `docs/CI.md`).
 //!
 //! ```text
 //! cargo run --release --example service -- --smoke
@@ -41,7 +41,7 @@ use divscrape_service::{AdminServer, IngestOutcome, PumpMode, ServicePlane, Sour
 use divscrape_traffic::{generate, ScenarioConfig};
 
 /// Counts every heap allocation so `--bench` can report allocs/entry
-/// (pure pass-through to `System`, same as `zero_copy_bench`).
+/// (pure pass-through to `System`).
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);

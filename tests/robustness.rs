@@ -1,11 +1,23 @@
 //! Failure injection: the detectors must degrade gracefully, never panic,
 //! on the kinds of malformed or adversarial input real deployments see.
 
-use divscrape_detect::{run_alerts, Arcane, Committee, Detector, Sentinel};
+use divscrape_detect::{run_alerts, Arcane, Detector, Sentinel};
 use divscrape_ensemble::{AlertVector, ConfusionMatrix};
 use divscrape_httplog::{ClfTimestamp, HttpStatus, LogEntry};
+use divscrape_pipeline::{Adjudication, Pipeline, PipelineBuilder};
 use divscrape_traffic::{generate, ScenarioConfig};
 use std::net::Ipv4Addr;
+
+/// The two stock tools behind a 1-out-of-2 vote — the deployable
+/// committee.
+fn stock_pair_1oo2() -> Pipeline {
+    PipelineBuilder::new()
+        .detector(Sentinel::stock())
+        .detector(Arcane::stock())
+        .adjudication(Adjudication::k_of_n(1))
+        .build()
+        .unwrap()
+}
 
 fn weird_entries() -> Vec<LogEntry> {
     let mk = |secs: i64, path: &str, status: u16, ua: &str| {
@@ -38,14 +50,18 @@ fn detectors_survive_pathological_entries() {
     for make in [
         || Box::new(Sentinel::stock()) as Box<dyn Detector>,
         || Box::new(Arcane::stock()) as Box<dyn Detector>,
-        || Box::new(Committee::stock_pair(1)) as Box<dyn Detector>,
     ] {
         let mut det = make();
         for e in weird_entries() {
-            let v = det.observe(&e);
+            let v = det.observe(&e.view());
             assert!(v.score.is_finite());
         }
     }
+    // And so does the pair as a pipeline: every entry is accepted (each
+    // survives its own rendering) and adjudicated.
+    let mut pipeline = stock_pair_1oo2();
+    pipeline.push_batch(&weird_entries());
+    assert_eq!(pipeline.drain().requests(), weird_entries().len());
 }
 
 #[test]
@@ -115,7 +131,7 @@ fn adversarial_whitelist_spoofing_is_contained() {
     // A scraper claiming to be Googlebot from outside the crawler ranges
     // must NOT inherit the whitelist in Sentinel (it verifies the source
     // range). Arcane trusts identity alone — a deliberate design diversity
-    // — so the committee at k=1 still catches the impostor.
+    // — so the pair at 1oo2 still catches the impostor.
     use divscrape_traffic::useragents::GOOGLEBOT;
     let mk = |i: i64| {
         LogEntry::builder()
@@ -133,7 +149,7 @@ fn adversarial_whitelist_spoofing_is_contained() {
         sentinel_alerts.iter().any(|a| *a),
         "sentinel must catch the fake crawler"
     );
-    let mut committee = Committee::stock_pair(1);
-    let committee_alerts = run_alerts(&mut committee, &entries);
-    assert!(committee_alerts.iter().any(|a| *a));
+    let mut pipeline = stock_pair_1oo2();
+    pipeline.push_batch(&entries);
+    assert!(pipeline.drain().combined.iter_alerted().next().is_some());
 }

@@ -26,7 +26,7 @@ use divscrape_detect::{
     Arcane, Detector, EvictionConfig, EvictionStats, Sentinel, TriageDecision, TriageFilter,
     Verdict,
 };
-use divscrape_httplog::{EntryView, LogEntry};
+use divscrape_httplog::{EntryRef, LogEntry};
 use divscrape_pipeline::{
     Adjudication, Alert, Pipeline, PipelineBuilder, PipelineReport, PipelineStats, TriagePolicy,
 };
@@ -204,7 +204,7 @@ impl TriageFilter for SlowFuse {
     fn name(&self) -> &str {
         "slow-fuse"
     }
-    fn classify(&mut self, entry: &dyn EntryView) -> TriageDecision {
+    fn classify(&mut self, entry: &EntryRef<'_>) -> TriageDecision {
         let seen = self.counts.entry(entry.client_key()).or_insert(0);
         *seen += 1;
         match (*seen).cmp(&self.after) {
@@ -347,10 +347,8 @@ impl Detector for Recorder {
     fn name(&self) -> &str {
         "recorder"
     }
-    fn observe(&mut self, entry: &LogEntry) -> Verdict {
+    fn observe(&mut self, entry: &EntryRef<'_>) -> Verdict {
         let seq: u64 = entry
-            .request()
-            .path()
             .path()
             .trim_start_matches("/item/")
             .parse()
@@ -376,7 +374,7 @@ impl TriageFilter for PerClientFuse {
     fn name(&self) -> &str {
         "per-client-fuse"
     }
-    fn classify(&mut self, entry: &dyn EntryView) -> TriageDecision {
+    fn classify(&mut self, entry: &EntryRef<'_>) -> TriageDecision {
         let at = self.thresholds[entry.addr().octets()[3] as usize];
         let seen = self.counts.entry(entry.client_key()).or_insert(0);
         *seen += 1;

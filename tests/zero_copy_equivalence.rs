@@ -1,8 +1,9 @@
-//! The zero-copy spine's headline guarantee: feeding a log through the
-//! borrowed path — `Pipeline::push_line` directly, or `FileTail` /
-//! `Replay` through the `IngestDriver`'s `poll_ref` pump — produces
-//! **bit-identical** output to `push_batch` of the same entries parsed
-//! up front: the combined verdicts, every member's verdicts, and every
+//! One arena, one answer: feeding a log as raw lines —
+//! `Pipeline::push_line` directly, or `FileTail` / `Replay` through the
+//! `IngestDriver`'s `poll_ref` pump — produces **bit-identical** output
+//! to `push_batch` of the same entries parsed up front (which renders
+//! each entry into the same arena, so this pins `EntryBlock::push_entry`
+//! ≡ `push_line`): the combined verdicts, every member's verdicts, and every
 //! sink-delivered `Alert::to_json` line, across worker counts {1, 4}
 //! and with eviction off and on (TTL + capacity) — for the paper's two
 //! tools and for the full five-detector ensemble.
@@ -71,8 +72,7 @@ fn build_pipeline(
     (builder.build().unwrap(), jsons)
 }
 
-/// The reference: the owned path, entries parsed up front and fed
-/// through `push_batch`.
+/// The reference: entries parsed up front and fed through `push_batch`.
 fn run_push_batch(
     members: Members,
     entries: &[LogEntry],
@@ -89,8 +89,7 @@ fn run_push_batch(
     }
 }
 
-/// The borrowed path at the engine boundary: raw lines parsed in place
-/// inside the pipeline's entry arena.
+/// Raw lines parsed in place inside the pipeline's entry arena.
 fn run_push_line(
     members: Members,
     entries: &[LogEntry],
@@ -263,8 +262,8 @@ fn five_detector_ensemble_is_bit_identical_on_every_path() {
 #[test]
 fn mixed_owned_and_borrowed_feeding_preserves_order_and_verdicts() {
     // Interleave push (owned), push_batch (owned slice) and push_line
-    // (borrowed) on one pipeline: the feed-order invariant must hold
-    // regardless of which buffer each entry landed in.
+    // (raw text) on one pipeline: all three append to one arena, so
+    // feed order holds and switching flavors forces no chunk boundary.
     let log = generate(&ScenarioConfig::tiny(77)).unwrap();
     let entries = log.entries();
     let want = run_push_batch(Members::Spine2, entries, 2, None);
@@ -286,6 +285,11 @@ fn mixed_owned_and_borrowed_feeding_preserves_order_and_verdicts() {
         }
     }
     let report = pipeline.drain();
+    assert_eq!(
+        pipeline.stats().chunks_processed,
+        entries.len().div_ceil(257) as u64,
+        "alternating push flavors split chunks"
+    );
     let alert_jsons = std::mem::take(&mut *jsons.lock().unwrap());
     assert_identical(
         "mixed feeding",
