@@ -23,15 +23,14 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use divscrape_bench::scenario_for;
+use divscrape_bench::{bench_scale, scenario_for};
 use divscrape_detect::baselines::RateLimiter;
 use divscrape_detect::{Arcane, Sentinel};
 use divscrape_pipeline::{Adjudication, Pipeline, PipelineBuilder, RecalibrationPolicy};
 use divscrape_traffic::{DriftScenario, LabelledLog};
 
 fn drift_log() -> LabelledLog {
-    let scale = std::env::var("DIVSCRAPE_BENCH_SCALE").unwrap_or_else(|_| "small".to_owned());
-    let scenario = scenario_for(&scale, 17).expect("DIVSCRAPE_BENCH_SCALE");
+    let scenario = scenario_for(&bench_scale(), 17).expect("DIVSCRAPE_BENCH_SCALE");
     DriftScenario::new(scenario.clone())
         .then(
             divscrape_traffic::PopulationMix::stealth_shift(),

@@ -14,7 +14,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use divscrape_bench::scenario_for;
+use divscrape_bench::{bench_scale, scenario_for};
 use divscrape_detect::{Arcane, Sentinel, TenantId};
 use divscrape_httplog::LogEntry;
 use divscrape_pipeline::{Adjudication, PipelineBuilder};
@@ -35,7 +35,7 @@ fn two_tool() -> PipelineBuilder {
 /// lines (the plane's shard router hashes the client fields straight
 /// off the line).
 fn interleaved_lines() -> Vec<String> {
-    let scale = std::env::var("DIVSCRAPE_BENCH_SCALE").unwrap_or_else(|_| "small".to_owned());
+    let scale = bench_scale();
     let logs: Vec<Vec<LogEntry>> = (0..LOGS)
         .map(|i| {
             let scenario = scenario_for(&scale, 11 + i as u64).expect("DIVSCRAPE_BENCH_SCALE");

@@ -8,18 +8,20 @@
 //!   triage claim only works if this is nanoseconds, not microseconds.
 //! * `triage/pipeline_*` — the full five-detector pipeline with triage
 //!   off versus the stock policy, over a benign-heavy log at 1%
-//!   suspicious (the operating point the `triage_bench` example gates
-//!   in CI; this group tracks the same race under criterion's
-//!   statistics).
+//!   suspicious — the `benchmark/` harness's `triage_benign` operating
+//!   point, where only the triaged arm is timed (triage-off runs there
+//!   as the correctness cross-route). This group is the one place the
+//!   two arms race.
 //!
 //! Scale defaults to `small` (12k requests); set `DIVSCRAPE_BENCH_SCALE`
 //! for larger runs:
 //!
 //! ```text
-//! DIVSCRAPE_BENCH_SCALE=medium cargo bench -p divscrape-bench --bench triage_benches
+//! DIVSCRAPE_BENCH_SCALE=paper cargo bench -p divscrape-bench --bench triage_benches
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use divscrape_bench::{bench_scale, scenario_for};
 use divscrape_detect::baselines::{RateLimiter, SignatureOnly};
 use divscrape_detect::triage::{TriageFilter, TriagePolicy};
 use divscrape_detect::{Arcane, FastTriage, Sentinel, TrapDetector};
@@ -28,13 +30,9 @@ use divscrape_pipeline::{Adjudication, Pipeline, PipelineBuilder};
 use divscrape_traffic::generate;
 
 fn lines() -> Vec<String> {
-    let scale = std::env::var("DIVSCRAPE_BENCH_SCALE").unwrap_or_else(|_| "small".to_owned());
-    let target = match scale.as_str() {
-        "tiny" => 1_200,
-        "small" => 12_000,
-        "medium" => 120_000,
-        other => panic!("unknown scale `{other}` (expected tiny|small|medium)"),
-    };
+    let target = scenario_for(&bench_scale(), 2018)
+        .expect("DIVSCRAPE_BENCH_SCALE")
+        .target_requests;
     let scenario = divscrape_traffic::ScenarioConfig::benign_heavy(2018, target, 0.01);
     generate(&scenario)
         .unwrap()

@@ -13,6 +13,12 @@
 //!
 //! All binaries accept `--scale tiny|small|medium|paper` (default differs
 //! per binary) and `--seed <u64>` (default 2018).
+//!
+//! The criterion groups under `benches/` take their scale from
+//! [`bench_scale`] instead (`docs/CI.md` lists the groups and why each
+//! one is not a `benchmark/` harness metric).
+
+#![forbid(unsafe_code)]
 
 use divscrape_traffic::ScenarioConfig;
 
@@ -81,6 +87,14 @@ pub fn scenario_for(scale: &str, seed: u64) -> Result<ScenarioConfig, String> {
     }
 }
 
+/// The scale name every criterion bench under `benches/` runs at: the
+/// `DIVSCRAPE_BENCH_SCALE` environment variable, `small` when unset.
+/// Resolve it with [`scenario_for`] (whose `target_requests` is the
+/// request count at that scale).
+pub fn bench_scale() -> String {
+    std::env::var("DIVSCRAPE_BENCH_SCALE").unwrap_or_else(|_| "small".to_owned())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +106,8 @@ mod tests {
         assert_eq!(scenario_for("medium", 1).unwrap().target_requests, 120_000);
         assert_eq!(scenario_for("paper", 1).unwrap().target_requests, 1_469_744);
         assert!(scenario_for("galactic", 1).is_err());
+        // The criterion benches resolve their knob through the same
+        // table, so every name above — `paper` included — works there.
+        assert!(scenario_for(&bench_scale(), 1).is_ok());
     }
 }

@@ -7,27 +7,25 @@
 //! thread per configured worker. Each thread owns its own replica of
 //! every composed detector for the lifetime of the pipeline, so
 //! per-client detector state persists across chunk flushes without any
-//! re-warming or per-flush thread spawning (the previous engine spawned
-//! a scoped thread per flush). A single-worker pipeline runs its
-//! detectors inline on the driver thread — there is no parallelism to
-//! buy, so a handoff would be pure overhead; ingestion then
-//! backpressures maximally (every chunk is fully processed inside
+//! re-warming or per-flush thread spawning. A single-worker pipeline
+//! runs its detectors inline on the driver thread — there is no
+//! parallelism to buy, so a handoff would be pure overhead; ingestion
+//! then backpressures maximally (every chunk is fully processed inside
 //! `push`). For the pool, work flows through two kinds of channels:
 //!
-//! * **Jobs** travel over a *bounded* SPSC ring per worker (the
-//!   [`spsc`](crate::spsc) Lamport queue: exactly one producer — the
-//!   driver — and one consumer per worker, so the hand-off is lock- and
-//!   allocation-free on the hot path). When a target worker's queue is
-//!   full, or the reorder buffer is at its cap, [`Pipeline::push`]
-//!   blocks until the pool catches up — backpressure instead of
-//!   unbounded buffering. Entries held driver-side are bounded by
-//!   `chunk_capacity × (workers × queue_depth + 1)` in flight, plus up
+//! * **Jobs** travel over one *bounded*
+//!   [`sync_channel`](std::sync::mpsc::sync_channel) per worker, carrying
+//!   one message per chunk per worker (a pre-allocated array of
+//!   `queue_depth` slots, so the hand-off allocates nothing). When a
+//!   target worker's queue is full, or the reorder buffer is at its cap,
+//!   [`Pipeline::push`] blocks until the pool catches up — backpressure
+//!   instead of unbounded buffering. Entries held driver-side are bounded
+//!   by `chunk_capacity × (workers × queue_depth + 1)` in flight, plus up
 //!   to one chunk's worth in the ingest buffer.
 //! * **Results** return over one shared unbounded MPSC channel. The
 //!   driver keeps a reorder buffer keyed by chunk sequence number and
 //!   finalizes chunks strictly in feed order: adjudication, sink
-//!   delivery and outcome accumulation all happen on the driver thread,
-//!   exactly as in the synchronous engine.
+//!   delivery and outcome accumulation all happen on the driver thread.
 //!
 //! Chunks are client-sharded: every entry goes to the worker that owns
 //! its client (stable hash), each worker batches maximal runs of
@@ -57,7 +55,7 @@
 //! [`Detector::observe_batch_refs`]: divscrape_detect::Detector::observe_batch_refs
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,7 +67,6 @@ use divscrape_httplog::{EntryBlock, EntryRef, LogEntry, ParseLogError};
 
 use crate::builder::{Adjudication, BuildError, DriftHook, LabelOracle, Rule};
 use crate::sink::{Alert, AlertSink, ScoredEntry};
-use crate::spsc::{self, TrySendError};
 use crate::stats::{PipelineStats, RuntimeUpdates};
 use crate::triage::{EntryAction, ReplayLoad, RetroVerdict, TriageStage};
 use crate::PipelineDetector;
@@ -129,7 +126,7 @@ struct WorkerResult {
 /// A long-lived pool worker: its bounded job queue and join handle.
 struct WorkerHandle {
     /// `None` only during teardown.
-    jobs: Option<spsc::Producer<Job>>,
+    jobs: Option<SyncSender<Job>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -261,7 +258,7 @@ fn spawn_worker(
     queue_depth: usize,
     results: mpsc::Sender<WorkerResult>,
 ) -> WorkerHandle {
-    let (jobs_tx, jobs_rx) = spsc::channel::<Job>(queue_depth);
+    let (jobs_tx, jobs_rx) = mpsc::sync_channel::<Job>(queue_depth);
     let thread = std::thread::Builder::new()
         .name(format!("divscrape-pipeline-{id}"))
         .spawn(move || {
@@ -540,8 +537,7 @@ impl Pipeline {
     /// Assembles a validated pipeline and spawns its worker pool (called
     /// by the builder). A single-worker pipeline runs its detectors
     /// inline on the driver instead — there is no parallelism to buy, so
-    /// the cross-thread handoff would be pure overhead (this mirrors the
-    /// replaced engine, which only spawned threads for `workers > 1`).
+    /// the cross-thread handoff would be pure overhead.
     #[allow(clippy::too_many_arguments)] // crate-private: called by the builder only
     pub(crate) fn assemble(
         detectors: Vec<Box<dyn PipelineDetector>>,

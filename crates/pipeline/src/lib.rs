@@ -128,10 +128,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
-// `deny` rather than `forbid`: the `spsc` module opts into `unsafe` for
-// its ring-slot handoff (with a local safety argument); everything else
-// in the crate stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builder;
@@ -139,7 +136,6 @@ mod engine;
 mod mux;
 mod record;
 mod sink;
-mod spsc;
 mod stats;
 mod store_sink;
 mod triage;

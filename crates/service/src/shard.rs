@@ -132,12 +132,10 @@ impl ShardHandle {
     /// Spawns the driver thread for `pipeline` behind a queue of
     /// `queue_depth` messages.
     pub(crate) fn spawn(pipeline: Pipeline, queue_depth: usize) -> ShardHandle {
-        // `sync_channel`, not the pipeline's SPSC ring: this queue is
-        // multi-producer. Any thread may call `ingest`/`offer`, and
-        // source pumps and the admin plane's control messages (drain,
-        // freeze, budget, stop) share it so control stays ordered with
-        // the traffic it follows — a single-producer ring cannot serve
-        // that.
+        // One multi-producer queue: any thread may call
+        // `ingest`/`offer`, and source pumps and the admin plane's
+        // control messages (drain, freeze, budget, stop) share it so
+        // control stays ordered with the traffic it follows.
         let (tx, rx) = sync_channel(queue_depth.max(1));
         let published = Arc::new(Mutex::new(ShardPublished {
             stats: pipeline.stats(),
@@ -180,9 +178,7 @@ impl ShardHandle {
     /// Stops the driver: final drain, parting counters, thread joined.
     pub(crate) fn stop(mut self) -> Option<ShardFinal> {
         // One-shot reply channels (here and in the plane's drain) carry
-        // one message per control request, off the per-line path: the
-        // SPSC ring's lock-free fast path only pays on a stream, so a
-        // std channel and a blocking `recv` are all they need.
+        // one message per control request, off the per-line path.
         let (reply_tx, reply_rx) = sync_channel(1);
         let sent = self.tx.send(ShardMsg::Stop(reply_tx)).is_ok();
         let fin = if sent { reply_rx.recv().ok() } else { None };

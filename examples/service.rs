@@ -19,19 +19,12 @@
 //! admin socket observably JOINs, FREEZEs, re-budgets and LEAVEs a
 //! tenant mid-flight.
 //!
-//! `--bench` races a 1-shard plane (one driver thread per tenant)
-//! against a 4-shard plane over the same log and appends one record to
-//! `BENCH_service.json` (format in `docs/CI.md`).
-//!
 //! ```text
 //! cargo run --release --example service -- --smoke
-//! cargo run --release --example service -- --bench --label pr8
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use divscrape_detect::{Arcane, Sentinel};
@@ -40,62 +33,18 @@ use divscrape_pipeline::{Adjudication, MuxCollector, PipelineBuilder, TenantId};
 use divscrape_service::{AdminServer, IngestOutcome, PumpMode, ServicePlane, SourcePump};
 use divscrape_traffic::{generate, ScenarioConfig};
 
-/// Counts every heap allocation so `--bench` can report allocs/entry
-/// (pure pass-through to `System`).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System`; the counter never influences
-// the returned pointers.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut bench = false;
-    let mut label = "smoke".to_owned();
-    let mut out = "BENCH_service.json".to_owned();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--smoke" => bench = false,
-            "--bench" => bench = true,
-            "--label" => label = it.next().ok_or("--label needs a value")?,
-            "--out" => out = it.next().ok_or("--out needs a path")?,
+            "--smoke" => {}
             "--help" | "-h" => {
-                eprintln!("usage: service [--smoke | --bench [--label <name>] [--out <path>]]");
+                eprintln!("usage: service [--smoke]");
                 return Ok(());
             }
             other => return Err(format!("unknown argument `{other}` (try --help)").into()),
         }
     }
-    if bench {
-        run_bench(&label, &out)
-    } else {
-        run_smoke()
-    }
+    run_smoke()
 }
 
 /// The pipeline composition every tenant in this example runs: the
@@ -418,157 +367,4 @@ fn expect(got: String, want: &str, what: &str) -> Result<(), Box<dyn std::error:
     } else {
         Err(format!("{what}: expected {want:?}, got {got:?}").into())
     }
-}
-
-// ---------------------------------------------------------------------
-// --bench: single driver vs sharded drivers
-// ---------------------------------------------------------------------
-
-struct ArmResult {
-    entries_per_sec: f64,
-    ns_per_entry: f64,
-    allocs_per_entry: f64,
-    alerts: u64,
-}
-
-/// One warm-up pass, then `passes` timed passes of the whole log
-/// through a plane with `shards` driver threads (workers(1) inside
-/// each shard, so the driver count is the variable under test). Each
-/// pass ingests every line and drains; the best pass is reported, the
-/// allocator delta spans all timed passes.
-fn run_arm(lines: &[String], shards: usize, passes: u32) -> ArmResult {
-    let tenant = TenantId::new("bench");
-    let plane = ServicePlane::builder()
-        .queue_depth(4096)
-        .tenant(tenant.clone(), shards, |_, _| {
-            PipelineBuilder::new()
-                .detector(Sentinel::stock())
-                .detector(Arcane::stock())
-                .adjudication(Adjudication::k_of_n(1))
-                .workers(1)
-        })
-        .build()
-        .expect("bench plane");
-
-    let feed_and_drain = |_: u32| {
-        for line in lines {
-            assert_eq!(
-                plane.ingest(&tenant, line.clone()),
-                IngestOutcome::Routed,
-                "bench line refused"
-            );
-        }
-        let _ = plane.drain_all();
-    };
-    feed_and_drain(0); // warm-up
-
-    let entries_per_pass = lines.len() as u64;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut best = f64::INFINITY;
-    for pass in 0..passes {
-        let started = Instant::now();
-        feed_and_drain(pass + 1);
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let alerts = plane.stats().alerts;
-    plane.shutdown();
-
-    let total_entries = entries_per_pass * u64::from(passes);
-    ArmResult {
-        entries_per_sec: entries_per_pass as f64 / best,
-        ns_per_entry: best * 1e9 / entries_per_pass as f64,
-        allocs_per_entry: allocs as f64 / total_entries as f64,
-        alerts,
-    }
-}
-
-const BENCH_SHARDS: usize = 4;
-
-fn record_json(
-    label: &str,
-    scale: &str,
-    n: usize,
-    passes: u32,
-    single: &ArmResult,
-    sharded: &ArmResult,
-    speedup: f64,
-) -> String {
-    let arm_json = |a: &ArmResult| {
-        format!(
-            "{{ \"entries_per_sec\": {:.0}, \"ns_per_entry\": {:.1}, \"allocs_per_entry\": {:.3} }}",
-            a.entries_per_sec, a.ns_per_entry, a.allocs_per_entry
-        )
-    };
-    format!(
-        "  {{\n    \"label\": \"{label}\",\n    \"scale\": \"{scale}\",\n    \"entries\": {n},\n    \"passes\": {passes},\n    \"workers\": 1,\n    \"single_driver\": {},\n    \"sharded\": {},\n    \"speedup\": {speedup:.2},\n    \"note\": \"end-to-end ingest+drain through the service plane; sharded = {BENCH_SHARDS} client-hash shard drivers per tenant vs one driver, workers(1) inside each shard\"\n  }}",
-        arm_json(single),
-        arm_json(sharded)
-    )
-}
-
-/// Appends one record to the JSON-array trajectory file, creating it
-/// (or replacing a non-array file) as a one-record array.
-fn append_record(path: &str, record: &str) -> std::io::Result<()> {
-    let prefix = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) if body.trim_end().is_empty() || body.trim_end() == "[" => {
-                    "[\n".to_owned()
-                }
-                Some(body) => format!("{},\n", body.trim_end()),
-                None => "[\n".to_owned(),
-            }
-        }
-        Err(_) => "[\n".to_owned(),
-    };
-    std::fs::write(path, format!("{prefix}{record}\n]\n"))
-}
-
-fn run_bench(label: &str, out: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let (scale, passes) = ("small", 3u32);
-    let log = generate(&ScenarioConfig::small(2018))?;
-    let lines: Vec<String> = log.entries().iter().map(|e| e.to_string()).collect();
-    eprintln!(
-        "service bench: {} entries × {passes} timed passes, 1 vs {BENCH_SHARDS} shard drivers",
-        lines.len()
-    );
-
-    let single = run_arm(&lines, 1, passes);
-    let sharded = run_arm(&lines, BENCH_SHARDS, passes);
-    let speedup = sharded.entries_per_sec / single.entries_per_sec;
-
-    eprintln!(
-        "single driver: {:>10.0} entries/s  {:>7.1} ns/entry  {:>6.3} allocs/entry  {} alerts",
-        single.entries_per_sec, single.ns_per_entry, single.allocs_per_entry, single.alerts
-    );
-    eprintln!(
-        "{BENCH_SHARDS} shard drivers: {:>8.0} entries/s  {:>7.1} ns/entry  {:>6.3} allocs/entry  {} alerts",
-        sharded.entries_per_sec, sharded.ns_per_entry, sharded.allocs_per_entry, sharded.alerts
-    );
-    eprintln!("speedup:       {speedup:.2}x");
-
-    let record = record_json(
-        label,
-        scale,
-        lines.len(),
-        passes,
-        &single,
-        &sharded,
-        speedup,
-    );
-    append_record(out, &record)?;
-    eprintln!("appended record to {out}");
-
-    // Sharding must not change a verdict: the client-hash routing keeps
-    // same-client runs on one shard, so the alert totals are identical.
-    if single.alerts != sharded.alerts {
-        return Err(format!(
-            "alert drift: single driver raised {} alerts, sharded plane {}",
-            single.alerts, sharded.alerts
-        )
-        .into());
-    }
-    Ok(())
 }

@@ -1,12 +1,14 @@
 //! Failure injection: the detectors must degrade gracefully, never panic,
 //! on the kinds of malformed or adversarial input real deployments see.
 
-use divscrape_detect::{run_alerts, Arcane, Detector, Sentinel};
+use divscrape_detect::{run_alerts, Arcane, Detector, Sentinel, Verdict};
 use divscrape_ensemble::{AlertVector, ConfusionMatrix};
-use divscrape_httplog::{ClfTimestamp, HttpStatus, LogEntry};
+use divscrape_httplog::{ClfTimestamp, EntryRef, HttpStatus, LogEntry};
 use divscrape_pipeline::{Adjudication, Pipeline, PipelineBuilder};
 use divscrape_traffic::{generate, ScenarioConfig};
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// The two stock tools behind a 1-out-of-2 vote — the deployable
 /// committee.
@@ -152,4 +154,46 @@ fn adversarial_whitelist_spoofing_is_contained() {
     let mut pipeline = stock_pair_1oo2();
     pipeline.push_batch(&entries);
     assert!(pipeline.drain().combined.iter_alerted().next().is_some());
+}
+
+/// Panics on the 300th `observe` — a detector bug striking mid-stream.
+/// The count is shared by every replica, so exactly one pool worker dies
+/// and the others keep answering: the driver has to notice the gap, not
+/// just a fully disconnected result channel.
+#[derive(Clone, Default)]
+struct PanicsOnThe300thCall {
+    calls: Arc<AtomicU32>,
+}
+
+impl Detector for PanicsOnThe300thCall {
+    fn name(&self) -> &str {
+        "panics-on-the-300th-call"
+    }
+
+    fn observe(&mut self, _entry: &EntryRef<'_>) -> Verdict {
+        assert_ne!(
+            self.calls.fetch_add(1, Ordering::Relaxed),
+            299,
+            "detector bug"
+        );
+        Verdict::CLEAR
+    }
+
+    fn reset(&mut self) {}
+}
+
+#[test]
+#[should_panic(expected = "worker thread died")]
+fn a_dead_pool_worker_fails_the_driver_instead_of_hanging_it() {
+    let log = generate(&ScenarioConfig::small(29)).unwrap();
+    let mut pipeline = PipelineBuilder::new()
+        .detector(Sentinel::stock())
+        .detector(PanicsOnThe300thCall::default())
+        .adjudication(Adjudication::k_of_n(1))
+        .workers(2)
+        .chunk_capacity(128)
+        .build()
+        .unwrap();
+    pipeline.push_batch(log.entries());
+    pipeline.drain();
 }

@@ -1,5 +1,5 @@
 //! Pins the zero-copy spine's allocation profile: once warm (arenas
-//! recycled, SPSC rings built, UA interner and per-client detector
+//! recycled, job queues built, UA interner and per-client detector
 //! state populated), `Pipeline::push_line` performs **zero heap
 //! allocations per entry** — the only steady-state allocations are
 //! per-chunk bookkeeping (shard schedules, result messages,
@@ -61,7 +61,7 @@ fn assert_warm_pass_is_sub_per_entry(what: &str, builder: PipelineBuilder, lines
         .build()
         .unwrap();
 
-    // Warm-up: two full passes grow every arena and ring to capacity,
+    // Warm-up: two full passes grow every arena to capacity,
     // intern every user agent, and build per-client detector state.
     // No drain in between — detector state and recycled blocks carry
     // straight into the measured pass.
