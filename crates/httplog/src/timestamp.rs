@@ -230,16 +230,30 @@ impl Sub<ClfTimestamp> for ClfTimestamp {
 impl fmt::Display for ClfTimestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (y, m, d) = self.civil();
-        write!(
-            f,
-            "{:02}/{}/{:04}:{:02}:{:02}:{:02} +0000",
-            d,
-            MONTH_ABBREV[(m - 1) as usize],
-            y,
-            self.hour(),
-            self.minute(),
-            self.second()
-        )
+        let month = MONTH_ABBREV[(m - 1) as usize];
+        let (hour, minute, second) = (self.hour(), self.minute(), self.second());
+        if !(0..=9999).contains(&y) {
+            // Off the fixed shape: the general formatter widens the year.
+            return write!(
+                f,
+                "{d:02}/{month}/{y:04}:{hour:02}:{minute:02}:{second:02} +0000"
+            );
+        }
+        // Every sink line and every rendered CLF line carries one of
+        // these, so the 26 fixed-width bytes are filled in directly.
+        let mut text = *b"dd/Mon/yyyy:HH:MM:SS +0000";
+        let mut two = |at: usize, value: u32| {
+            text[at] = b'0' + (value / 10) as u8;
+            text[at + 1] = b'0' + (value % 10) as u8;
+        };
+        two(0, d);
+        two(7, y as u32 / 100);
+        two(9, y as u32 % 100);
+        two(12, hour);
+        two(15, minute);
+        two(18, second);
+        text[3..6].copy_from_slice(month.as_bytes());
+        f.write_str(std::str::from_utf8(&text).expect("a CLF timestamp is ASCII"))
     }
 }
 
@@ -406,6 +420,47 @@ mod tests {
     fn formats_in_clf_layout() {
         let t = ClfTimestamp::from_ymd_hms(2018, 3, 11, 6, 25, 14).unwrap();
         assert_eq!(t.to_string(), "11/Mar/2018:06:25:14 +0000");
+    }
+
+    /// What `Display` wrote before it filled the fixed-width bytes in
+    /// directly; the two must agree everywhere.
+    fn formatter_rendering(t: ClfTimestamp) -> String {
+        format!(
+            "{:02}/{}/{:04}:{:02}:{:02}:{:02} +0000",
+            t.day(),
+            MONTH_ABBREV[(t.month() - 1) as usize],
+            t.year(),
+            t.hour(),
+            t.minute(),
+            t.second()
+        )
+    }
+
+    #[test]
+    fn fixed_width_display_equals_the_formatter_on_every_day_1970_to_2100() {
+        let first = days_from_civil(1970, 1, 1);
+        let last = days_from_civil(2100, 12, 31);
+        for day in first..=last {
+            for second_of_day in [0, 12 * 3600 + 34 * 60 + 56, SECONDS_PER_DAY - 1] {
+                let t = ClfTimestamp::from_epoch_seconds(day * SECONDS_PER_DAY + second_of_day);
+                assert_eq!(t.to_string(), formatter_rendering(t));
+            }
+        }
+    }
+
+    #[test]
+    fn years_off_the_four_digit_shape_fall_back_to_the_formatter() {
+        for (year, rendered) in [
+            (9999, "31/Dec/9999:23:59:59 +0000"),
+            (10_000, "31/Dec/10000:23:59:59 +0000"),
+            (0, "31/Dec/0000:23:59:59 +0000"),
+            (-1, "31/Dec/-001:23:59:59 +0000"),
+            (-12_345, "31/Dec/-12345:23:59:59 +0000"),
+        ] {
+            let t = ClfTimestamp::from_ymd_hms(year, 12, 31, 23, 59, 59).unwrap();
+            assert_eq!(t.to_string(), rendered);
+            assert_eq!(t.to_string(), formatter_rendering(t));
+        }
     }
 
     #[test]

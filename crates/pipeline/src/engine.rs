@@ -68,6 +68,7 @@ use divscrape_httplog::{EntryBlock, EntryRef, LogEntry, ParseLogError};
 use crate::builder::{Adjudication, BuildError, DriftHook, LabelOracle, Rule};
 use crate::sink::{Alert, AlertSink, ScoredEntry};
 use crate::stats::{PipelineStats, RuntimeUpdates};
+use crate::store_sink::RecordPolicy;
 use crate::triage::{EntryAction, ReplayLoad, RetroVerdict, TriageStage};
 use crate::PipelineDetector;
 
@@ -1481,24 +1482,29 @@ impl Pipeline {
             let sink_started = Instant::now();
             // Cheap Arc clone: frees `self.sinks` for the mutable loop.
             let tenant = self.tenant.clone();
-            // Sinks that asked for every finalized entry (the durable
-            // store); the per-entry record is only assembled when at
-            // least one is present.
-            let entry_sinks: Vec<usize> = self
+            // Sinks that asked to be shown finalized entries (the
+            // durable store), each with which ones.
+            let entry_sinks: Vec<(usize, RecordPolicy)> = self
                 .sinks
                 .iter()
                 .enumerate()
-                .filter_map(|(i, sink)| sink.wants_entries().then_some(i))
+                .map(|(i, sink)| (i, sink.entry_policy()))
+                .filter(|&(_, policy)| policy != RecordPolicy::AlertsOnly)
                 .collect();
             let mut votes = vec![false; n_detectors];
             let mut scores = vec![0.0f32; n_detectors];
             for i in 0..n {
                 let alerted = combined_bools[i];
-                if !alerted && entry_sinks.is_empty() {
+                // Only a recording sink's policy looks at the votes.
+                let voted = !entry_sinks.is_empty() && member_bools.iter().any(|member| member[i]);
+                let recorded = entry_sinks
+                    .iter()
+                    .any(|&(_, policy)| policy.keeps(alerted, voted));
+                if !alerted && !recorded {
                     continue;
                 }
                 // An owned entry is materialized only here — for the
-                // few positions a sink actually consumes.
+                // positions a sink actually consumes.
                 let entry = &LogEntry::parse(block.line(i))
                     .expect("arena lines are stored only after a successful parse");
                 for (vote, member) in votes.iter_mut().zip(&member_bools) {
@@ -1508,7 +1514,7 @@ impl Pipeline {
                     *score = column[i].confidence();
                 }
                 let index = self.finalized + i as u64;
-                if !entry_sinks.is_empty() {
+                if recorded {
                     let record = ScoredEntry {
                         index,
                         tenant: tenant.as_ref(),
@@ -1517,8 +1523,10 @@ impl Pipeline {
                         votes: &votes,
                         scores: &scores,
                     };
-                    for &si in &entry_sinks {
-                        self.sinks[si].on_entry(&record);
+                    for &(si, policy) in &entry_sinks {
+                        if policy.keeps(alerted, voted) {
+                            self.sinks[si].on_entry(&record);
+                        }
                     }
                 }
                 if alerted {
@@ -1566,7 +1574,7 @@ impl Pipeline {
     ///
     /// Entries suppressed at finalization time carried all-CLEAR member
     /// votes, so a flip here is always CLEAR→alert; entry-record sinks
-    /// ([`AlertSink::wants_entries`]) that already consumed the
+    /// ([`AlertSink::entry_policy`]) that already consumed the
     /// suppressed record only see the late alert, not a rewritten
     /// record — the one documented divergence of the replay path.
     fn apply_retro_verdicts(&mut self, early: Vec<RetroVerdict>) {

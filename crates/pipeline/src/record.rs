@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use divscrape_detect::TenantId;
 use divscrape_httplog::{LogEntry, ParseLogError};
 
-use crate::sink::{push_json_escaped, push_scores, push_votes};
+use crate::sink::{push_display, push_head, push_ipv4, push_json_escaped, push_scores, push_votes};
 
 /// Why a JSON alert/score line failed to parse.
 ///
@@ -81,17 +81,11 @@ impl AlertRecord {
     /// format (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(160);
-        out.push_str("{\"index\":");
-        out.push_str(&self.index.to_string());
-        if let Some(tenant) = &self.tenant {
-            out.push_str(",\"tenant\":\"");
-            push_json_escaped(&mut out, tenant.as_str());
-            out.push('"');
-        }
+        push_head(&mut out, self.index, self.tenant.as_ref());
         out.push_str(",\"time\":\"");
         push_json_escaped(&mut out, &self.time);
         out.push_str("\",\"client\":\"");
-        push_json_escaped(&mut out, &self.client.to_string());
+        push_ipv4(&mut out, self.client);
         out.push_str("\",\"agent\":\"");
         push_json_escaped(&mut out, &self.agent);
         out.push_str("\",\"method\":\"");
@@ -99,7 +93,7 @@ impl AlertRecord {
         out.push_str("\",\"path\":\"");
         push_json_escaped(&mut out, &self.path);
         out.push_str("\",\"status\":");
-        out.push_str(&self.status.to_string());
+        push_display(&mut out, &self.status);
         out.push_str(",\"votes\":");
         push_votes(&mut out, &self.votes);
         out.push_str(",\"scores\":");
@@ -157,13 +151,7 @@ impl ScoreRecord {
     /// [`ScoredEntry::to_json`](crate::ScoredEntry::to_json) line format.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(200);
-        out.push_str("{\"index\":");
-        out.push_str(&self.index.to_string());
-        if let Some(tenant) = &self.tenant {
-            out.push_str(",\"tenant\":\"");
-            push_json_escaped(&mut out, tenant.as_str());
-            out.push('"');
-        }
+        push_head(&mut out, self.index, self.tenant.as_ref());
         out.push_str(",\"alerted\":");
         out.push_str(if self.alerted { "true" } else { "false" });
         out.push_str(",\"votes\":");

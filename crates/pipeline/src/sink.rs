@@ -20,6 +20,7 @@ use divscrape_httplog::LogEntry;
 use divscrape_store::{SpoolQueue, StoreConfig};
 
 use crate::record::{parse_alert_record, AlertParseError, AlertRecord};
+use crate::store_sink::RecordPolicy;
 
 /// One adjudicated alert, borrowed from the chunk being flushed.
 #[derive(Debug, Clone, Copy)]
@@ -59,31 +60,34 @@ impl Alert<'_> {
     /// confidence, parallel to `votes`).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(160);
-        out.push_str("{\"index\":");
-        out.push_str(&self.index.to_string());
-        if let Some(tenant) = self.tenant {
-            out.push_str(",\"tenant\":\"");
-            push_json_escaped(&mut out, tenant.as_str());
-            out.push('"');
-        }
-        out.push_str(",\"time\":\"");
-        push_json_escaped(&mut out, &self.entry.timestamp().to_string());
-        out.push_str("\",\"client\":\"");
-        push_json_escaped(&mut out, &self.entry.addr().to_string());
-        out.push_str("\",\"agent\":\"");
-        push_json_escaped(&mut out, self.entry.user_agent().as_str());
-        out.push_str("\",\"method\":\"");
-        push_json_escaped(&mut out, self.entry.request().method().as_str());
-        out.push_str("\",\"path\":\"");
-        push_json_escaped(&mut out, self.entry.request().path().as_str());
-        out.push_str("\",\"status\":");
-        out.push_str(&self.entry.status().as_u16().to_string());
-        out.push_str(",\"votes\":");
-        push_votes(&mut out, self.votes);
-        out.push_str(",\"scores\":");
-        push_scores(&mut out, self.scores);
-        out.push('}');
+        self.write_json(&mut out);
         out
+    }
+
+    /// Appends the [`to_json`](Self::to_json) rendering to `out` — what
+    /// the I/O sinks call, each into one line buffer it reuses, so a
+    /// delivered alert allocates nothing.
+    pub fn write_json(&self, out: &mut String) {
+        push_head(out, self.index, self.tenant);
+        out.push_str(",\"time\":\"");
+        // A CLF timestamp, a dotted quad and a method token hold
+        // nothing JSON escapes.
+        push_display(out, &self.entry.timestamp());
+        out.push_str("\",\"client\":\"");
+        push_ipv4(out, self.entry.addr());
+        out.push_str("\",\"agent\":\"");
+        push_json_escaped(out, self.entry.user_agent().as_str());
+        out.push_str("\",\"method\":\"");
+        out.push_str(self.entry.request().method().as_str());
+        out.push_str("\",\"path\":\"");
+        push_json_escaped(out, self.entry.request().path().as_str());
+        out.push_str("\",\"status\":");
+        push_display(out, &self.entry.status().as_u16());
+        out.push_str(",\"votes\":");
+        push_votes(out, self.votes);
+        out.push_str(",\"scores\":");
+        push_scores(out, self.scores);
+        out.push('}');
     }
 
     /// Parses one [`to_json`](Self::to_json) line back into an owned
@@ -110,6 +114,45 @@ impl Alert<'_> {
     }
 }
 
+/// Opens a sink line: `{"index":N` plus the tenant field when labelled.
+pub(crate) fn push_head(out: &mut String, index: u64, tenant: Option<&TenantId>) {
+    out.push_str("{\"index\":");
+    push_display(out, &index);
+    if let Some(tenant) = tenant {
+        out.push_str(",\"tenant\":\"");
+        push_json_escaped(out, tenant.as_str());
+        out.push('"');
+    }
+}
+
+/// Appends `value`'s `Display` rendering to `out`, no temporary.
+pub(crate) fn push_display(out: &mut String, value: &dyn std::fmt::Display) {
+    use std::fmt::Write as _;
+    // Formatting into a String cannot fail.
+    let _ = write!(out, "{value}");
+}
+
+/// Appends `addr` as a dotted quad — `Ipv4Addr`'s `Display`, digit by
+/// digit instead of through the formatter.
+pub(crate) fn push_ipv4(out: &mut String, addr: std::net::Ipv4Addr) {
+    let mut quad = [b'.'; 15];
+    let mut len = 0;
+    for (i, octet) in addr.octets().into_iter().enumerate() {
+        len += usize::from(i > 0); // the dot already there
+        if octet >= 100 {
+            quad[len] = b'0' + octet / 100;
+            len += 1;
+        }
+        if octet >= 10 {
+            quad[len] = b'0' + octet / 10 % 10;
+            len += 1;
+        }
+        quad[len] = b'0' + octet % 10;
+        len += 1;
+    }
+    out.push_str(std::str::from_utf8(&quad[..len]).expect("digits and dots are ASCII"));
+}
+
 /// Renders `votes` as a JSON bool array, appending to `out`.
 pub(crate) fn push_votes(out: &mut String, votes: &[bool]) {
     out.push('[');
@@ -126,21 +169,44 @@ pub(crate) fn push_votes(out: &mut String, votes: &[bool]) {
 /// to `out`. Two decimals keep the line compact; confidences live in
 /// [0, 1] so nothing is lost that triage would rank by.
 pub(crate) fn push_scores(out: &mut String, scores: &[f32]) {
-    use std::fmt::Write as _;
     out.push('[');
     for (i, score) in scores.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        // Formatting into a String cannot fail.
-        let _ = write!(out, "{score:.2}");
+        push_score(out, *score);
     }
     out.push(']');
 }
 
+/// Appends `{score:.2}`. Inside [0, 1] — where confidences live — the
+/// digits come from integer arithmetic: an `f32` times 100 is exact in
+/// `f64` (24 + 7 significant bits), so rounding that product half to
+/// even rounds the exact decimal expansion, which is what the formatter
+/// does. Everything else (negatives and `-0.0`, values above 1, NaN)
+/// takes the formatter.
+fn push_score(out: &mut String, score: f32) {
+    // Non-negative floats order like their bit patterns, so this is
+    // exactly +0.0 ..= 1.0.
+    if score.to_bits() > 1.0f32.to_bits() {
+        use std::fmt::Write as _;
+        // Formatting into a String cannot fail.
+        let _ = write!(out, "{score:.2}");
+        return;
+    }
+    let hundredths = (f64::from(score) * 100.0).round_ties_even() as u8;
+    let digits = [
+        b'0' + hundredths / 100,
+        b'.',
+        b'0' + hundredths / 10 % 10,
+        b'0' + hundredths % 10,
+    ];
+    out.push_str(std::str::from_utf8(&digits).expect("digits and a dot are ASCII"));
+}
+
 /// One finalized entry with its member votes and scores — alerting or
 /// not — delivered to sinks that opted in via
-/// [`AlertSink::wants_entries`]. This is the full per-entry history the
+/// [`AlertSink::entry_policy`]. This is the full per-entry history the
 /// durable store keeps so offline tooling can re-adjudicate it.
 #[derive(Debug, Clone, Copy)]
 pub struct ScoredEntry<'a> {
@@ -165,41 +231,82 @@ impl ScoredEntry<'_> {
     /// [`ScoreRecord::from_json`](crate::ScoreRecord::from_json).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(200);
-        out.push_str("{\"index\":");
-        out.push_str(&self.index.to_string());
-        if let Some(tenant) = self.tenant {
-            out.push_str(",\"tenant\":\"");
-            push_json_escaped(&mut out, tenant.as_str());
-            out.push('"');
-        }
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the [`to_json`](Self::to_json) rendering to `out` (see
+    /// [`Alert::write_json`]).
+    pub fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        push_head(out, self.index, self.tenant);
         out.push_str(",\"alerted\":");
         out.push_str(if self.alerted { "true" } else { "false" });
         out.push_str(",\"votes\":");
-        push_votes(&mut out, self.votes);
+        push_votes(out, self.votes);
         out.push_str(",\"scores\":");
-        push_scores(&mut out, self.scores);
+        push_scores(out, self.scores);
         out.push_str(",\"line\":\"");
-        push_json_escaped(&mut out, &self.entry.to_string());
+        // The CLF line is escaped as the entry renders it, piece by
+        // piece; formatting into a String cannot fail.
+        let _ = write!(JsonEscaped(out), "{}", self.entry);
         out.push_str("\"}");
-        out
     }
 }
 
-/// Appends `s` to `out` with JSON string escaping.
-pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// A formatter target that JSON-escapes whatever is written through it.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl std::fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        push_json_escaped(self.0, s);
+        Ok(())
     }
+}
+
+/// Appends `s` to `out` with JSON string escaping: runs of bytes that
+/// need none are copied whole.
+pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    // Every byte escaped is ASCII, so each cut falls on a char boundary.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let control;
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => {
+                control = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                std::str::from_utf8(&control).expect("an ASCII escape")
+            }
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_str(escape);
+        clean = i + 1;
+    }
+    out.push_str(&s[clean..]);
+}
+
+/// Renders `alert` plus a newline into the sink's reused line buffer,
+/// taken out of its slot so the sink can be borrowed while the line is
+/// written; the caller puts it back.
+fn render_line(slot: &mut String, alert: &Alert<'_>) -> String {
+    let mut line = std::mem::take(slot);
+    line.clear();
+    alert.write_json(&mut line);
+    line.push('\n');
+    line
 }
 
 /// Receives every adjudicated alert, in feed order.
@@ -220,18 +327,21 @@ pub trait AlertSink: Send {
     /// durably out the door; the default is a no-op.
     fn flush(&mut self) {}
 
-    /// Called once per finalized entry — alerting or not — when
-    /// [`wants_entries`](Self::wants_entries) returns `true`. The store
+    /// Called once per finalized entry this sink asked for through
+    /// [`entry_policy`](Self::entry_policy) — alerting or not. The store
     /// sink records these so stored history can be re-adjudicated
     /// offline; the default ignores them.
     fn on_entry(&mut self, _record: &ScoredEntry<'_>) {}
 
-    /// Opts in to per-entry [`on_entry`](Self::on_entry) callbacks. The
-    /// pipeline only assembles [`ScoredEntry`] values when at least one
-    /// sink wants them, so the default (`false`) keeps the common
-    /// alert-only path free of the overhead.
-    fn wants_entries(&self) -> bool {
-        false
+    /// Which finalized entries [`on_entry`](Self::on_entry) is shown:
+    /// none, those that alerted or drew a member's vote, or all of them.
+    /// The pipeline materializes an entry only when it alerted or some
+    /// sink asked for it, so the default
+    /// ([`RecordPolicy::AlertsOnly`]) keeps the common alert-only path
+    /// free of the overhead, and a sink that skips quiet entries should
+    /// say so here rather than discard them itself.
+    fn entry_policy(&self) -> RecordPolicy {
+        RecordPolicy::AlertsOnly
     }
 
     /// This sink's delivery counters, if it keeps any. Lets
@@ -416,6 +526,8 @@ pub struct JsonLinesSink<W: Write + Send> {
     /// writer rejected queue here until a later write or flush succeeds
     /// in replaying them, oldest first.
     spool: Option<SpoolQueue>,
+    /// The line being written, rendered here and reused.
+    line: String,
 }
 
 impl JsonLinesSink<BufWriter<std::fs::File>> {
@@ -463,6 +575,7 @@ impl<W: Write + Send> JsonLinesSink<W> {
             sync_handle: None,
             fsync_on_flush: false,
             spool: None,
+            line: String::new(),
         }
     }
 
@@ -584,20 +697,15 @@ impl<W: Write + Send> JsonLinesSink<W> {
 
 impl<W: Write + Send> AlertSink for JsonLinesSink<W> {
     fn on_alert(&mut self, alert: &Alert<'_>) {
-        let mut line = alert.to_json();
-        line.push('\n');
+        let line = render_line(&mut self.line, alert);
         if self.spool.is_some() {
             self.write_spooled(&line);
-            return;
+        } else if self.out.write_all(line.as_bytes()).is_ok() {
+            self.counters.written.fetch_add(1, Ordering::AcqRel);
+        } else {
+            self.counters.errors.fetch_add(1, Ordering::AcqRel);
         }
-        match self.out.write_all(line.as_bytes()) {
-            Ok(()) => {
-                self.counters.written.fetch_add(1, Ordering::AcqRel);
-            }
-            Err(_) => {
-                self.counters.errors.fetch_add(1, Ordering::AcqRel);
-            }
-        }
+        self.line = line;
     }
 
     fn flush(&mut self) {
@@ -678,6 +786,8 @@ pub struct TcpSink {
     /// while the collector is unreachable and replay in order on
     /// reconnect.
     spool: Option<SpoolQueue>,
+    /// The line being sent, rendered here and reused.
+    line: String,
 }
 
 impl std::fmt::Debug for TcpSink {
@@ -725,6 +835,7 @@ impl TcpSink {
             backoff: Self::RECONNECT_BACKOFF_INITIAL,
             retry_at: None,
             spool: None,
+            line: String::new(),
         })
     }
 
@@ -979,16 +1090,9 @@ impl TcpSink {
         // we can immediately so a transient blip doesn't strand lines.
         self.drain_spool(&mut reconnects);
     }
-}
 
-impl AlertSink for TcpSink {
-    fn on_alert(&mut self, alert: &Alert<'_>) {
-        let mut line = alert.to_json();
-        line.push('\n');
-        if self.spool.is_some() {
-            self.on_alert_spooled(&line);
-            return;
-        }
+    /// Spool-less alert path: write the line, reconnecting at most once.
+    fn send_or_count_dropped(&mut self, line: &str) {
         // At most ONE reconnect attempt per alert: up front when the
         // stream is already down, or after this write breaks a
         // previously live stream — never both.
@@ -1022,6 +1126,18 @@ impl AlertSink for TcpSink {
             self.open_backoff_window();
         }
         self.counters.errors.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+impl AlertSink for TcpSink {
+    fn on_alert(&mut self, alert: &Alert<'_>) {
+        let line = render_line(&mut self.line, alert);
+        if self.spool.is_some() {
+            self.on_alert_spooled(&line);
+        } else {
+            self.send_or_count_dropped(&line);
+        }
+        self.line = line;
     }
 
     // Every alert already went straight to the socket in `on_alert`;
@@ -1082,6 +1198,59 @@ mod tests {
         assert!(!json.contains('\n'));
         // Untagged pipelines emit no tenant field at all.
         assert!(!json.contains("tenant"));
+    }
+
+    /// The two-decimal kernel against the formatter it replaces: a
+    /// prime stride through every `f32` bit pattern in [0, 1] (about a
+    /// million values), every rounding tie `k/200` with its neighbours,
+    /// and what falls outside the kernel's range.
+    #[test]
+    fn score_kernel_equals_the_formatter() {
+        fn check(score: f32) {
+            let mut out = String::new();
+            push_score(&mut out, score);
+            assert_eq!(out, format!("{score:.2}"), "bits {:#010x}", score.to_bits());
+        }
+        for bits in (0..=1.0f32.to_bits()).step_by(1061) {
+            check(f32::from_bits(bits));
+        }
+        for k in 0..=200u32 {
+            let tie = (k as f32 / 200.0).to_bits();
+            for bits in tie.saturating_sub(2)..=tie + 2 {
+                check(f32::from_bits(bits));
+            }
+        }
+        for outside in [-0.0, -0.004, -0.5, 1.004, 1.005, 17.125, f32::MAX] {
+            check(outside);
+        }
+        for unordered in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            check(unordered);
+        }
+    }
+
+    #[test]
+    fn ipv4_kernel_equals_display_for_every_octet_value() {
+        for position in 0..4 {
+            for value in 0..=255u8 {
+                // 7 and 213 around it: one- and three-digit neighbours.
+                let mut octets = [7, 213, 7, 213];
+                octets[position] = value;
+                let addr = std::net::Ipv4Addr::from(octets);
+                let mut out = String::new();
+                push_ipv4(&mut out, addr);
+                assert_eq!(out, addr.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn escaper_copies_clean_runs_and_escapes_the_rest() {
+        let mut out = String::from("kept:");
+        push_json_escaped(&mut out, "plain \"q\" \\ \n\r\t \u{0}\u{1f} é🛒\u{7f} end");
+        assert_eq!(
+            out,
+            "kept:plain \\\"q\\\" \\\\ \\n\\r\\t \\u0000\\u001f é🛒\u{7f} end"
+        );
     }
 
     #[test]

@@ -5,12 +5,15 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use divscrape_store::{Record, RecordKey, RecordKind, SharedAlertStore, StoreConfig};
+use divscrape_detect::TenantId;
+use divscrape_httplog::LogEntry;
+use divscrape_store::{RecordKey, RecordKind, SharedAlertStore, StoreConfig};
 
 use crate::sink::{Alert, AlertSink, ScoredEntry, SinkCounters, SinkTelemetry};
 
 /// Which records a [`StoreSink`] persists per finalized entry, besides
-/// every alert.
+/// every alert — and, as [`AlertSink::entry_policy`]'s answer, which
+/// finalized entries any sink asks the pipeline to show it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordPolicy {
     /// Only alerts. Smallest store; history cannot be re-adjudicated.
@@ -26,6 +29,18 @@ pub enum RecordPolicy {
     /// carrying the raw CLF line — what the retro tool needs to re-run a
     /// *candidate detector* (not just a candidate rule) over history.
     AllEntries,
+}
+
+impl RecordPolicy {
+    /// Whether a finalized entry is kept, given whether it alerted and
+    /// whether any member voted on it.
+    pub(crate) fn keeps(self, alerted: bool, voted: bool) -> bool {
+        match self {
+            RecordPolicy::AlertsOnly => false,
+            RecordPolicy::VotedEntries => alerted || voted,
+            RecordPolicy::AllEntries => true,
+        }
+    }
 }
 
 /// An [`AlertSink`] that appends alerts (and, per [`RecordPolicy`],
@@ -57,6 +72,9 @@ pub struct StoreSink {
     store: SharedAlertStore,
     policy: RecordPolicy,
     counters: Arc<SinkCounters>,
+    /// The JSON payload of the record being appended, rendered here
+    /// and reused.
+    line: String,
 }
 
 impl StoreSink {
@@ -85,6 +103,7 @@ impl StoreSink {
             store,
             policy: RecordPolicy::default(),
             counters: Arc::default(),
+            line: String::new(),
         }
     }
 
@@ -107,8 +126,25 @@ impl StoreSink {
         SinkTelemetry(Arc::clone(&self.counters))
     }
 
-    fn append(&mut self, record: Record) {
-        match self.store.with(|store| store.append(record)) {
+    /// Appends the payload rendered into `self.line`, keyed by tenant,
+    /// `entry`'s client and `offset`.
+    fn append(
+        &mut self,
+        tenant: Option<&TenantId>,
+        entry: &LogEntry,
+        offset: u64,
+        kind: RecordKind,
+    ) {
+        let key = RecordKey {
+            tenant: tenant.cloned(),
+            client: entry.client_key(),
+            offset,
+        };
+        let payload = self.line.as_bytes();
+        match self
+            .store
+            .with(|store| store.append_ref(&key, kind, payload))
+        {
             Ok(true) => {
                 self.counters.written.fetch_add(1, Ordering::AcqRel);
             }
@@ -122,39 +158,27 @@ impl StoreSink {
 
 impl AlertSink for StoreSink {
     fn on_alert(&mut self, alert: &Alert<'_>) {
-        self.append(Record {
-            key: RecordKey {
-                tenant: alert.tenant.cloned(),
-                client: alert.entry.client_key(),
-                offset: alert.index,
-            },
-            kind: RecordKind::Alert,
-            payload: alert.to_json().into_bytes(),
-        });
+        self.line.clear();
+        alert.write_json(&mut self.line);
+        self.append(alert.tenant, alert.entry, alert.index, RecordKind::Alert);
     }
 
     fn on_entry(&mut self, record: &ScoredEntry<'_>) {
-        let keep = match self.policy {
-            RecordPolicy::AlertsOnly => false,
-            RecordPolicy::VotedEntries => record.alerted || record.votes.contains(&true),
-            RecordPolicy::AllEntries => true,
-        };
-        if !keep {
+        // The pipeline already skips what `entry_policy` rules out; the
+        // guard stays for callers that hand entries over directly.
+        if !self
+            .policy
+            .keeps(record.alerted, record.votes.contains(&true))
+        {
             return;
         }
-        self.append(Record {
-            key: RecordKey {
-                tenant: record.tenant.cloned(),
-                client: record.entry.client_key(),
-                offset: record.index,
-            },
-            kind: RecordKind::Score,
-            payload: record.to_json().into_bytes(),
-        });
+        self.line.clear();
+        record.write_json(&mut self.line);
+        self.append(record.tenant, record.entry, record.index, RecordKind::Score);
     }
 
-    fn wants_entries(&self) -> bool {
-        self.policy != RecordPolicy::AlertsOnly
+    fn entry_policy(&self) -> RecordPolicy {
+        self.policy
     }
 
     fn flush(&mut self) {
@@ -171,7 +195,6 @@ impl AlertSink for StoreSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use divscrape_httplog::LogEntry;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -195,7 +218,7 @@ mod tests {
     fn alerts_and_voted_entries_are_stored_idempotently() {
         let dir = temp_dir("idempotent");
         let mut sink = StoreSink::open(&dir).unwrap();
-        assert!(sink.wants_entries());
+        assert_eq!(sink.entry_policy(), RecordPolicy::VotedEntries);
         let entry = entry();
         let alert = Alert {
             index: 3,
@@ -256,7 +279,7 @@ mod tests {
         let sink = StoreSink::open(&dir)
             .unwrap()
             .record_policy(RecordPolicy::AlertsOnly);
-        assert!(!sink.wants_entries());
+        assert_eq!(sink.entry_policy(), RecordPolicy::AlertsOnly);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex, RwLock};
 
 use divscrape_detect::TenantId;
@@ -12,7 +11,7 @@ use divscrape_pipeline::{
     BuildError, PipelineBuilder, PipelineReport, PipelineStats, RuntimeUpdates,
 };
 
-use crate::shard::{offer_line, send_line, shard_of, Offer, ShardHandle, ShardMsg};
+use crate::shard::{shard_of, Offer, ShardHandle, ShardMsg, ShardSender};
 
 /// Default per-shard queue depth (messages buffered between a source
 /// pump and the shard driver).
@@ -396,7 +395,7 @@ impl ServicePlane {
     /// ```
     pub fn ingest(&self, tenant: &TenantId, line: String) -> IngestOutcome {
         match self.route(tenant, &line) {
-            Some(tx) if send_line(&tx, line) => {
+            Some(tx) if tx.send_line(&line) => {
                 self.shared.routing.routed.fetch_add(1, Ordering::Relaxed);
                 IngestOutcome::Routed
             }
@@ -431,7 +430,7 @@ impl ServicePlane {
     /// ```
     pub fn offer(&self, tenant: &TenantId, line: String) -> IngestOutcome {
         match self.route(tenant, &line) {
-            Some(tx) => match offer_line(&tx, line) {
+            Some(tx) => match tx.offer_line(&line) {
                 Offer::Accepted => {
                     self.shared.routing.routed.fetch_add(1, Ordering::Relaxed);
                     IngestOutcome::Routed
@@ -483,7 +482,7 @@ impl ServicePlane {
         })
     }
 
-    fn route(&self, tenant: &TenantId, line: &str) -> Option<SyncSender<ShardMsg>> {
+    fn route(&self, tenant: &TenantId, line: &str) -> Option<ShardSender> {
         let registry = self.read_registry();
         let runtime = registry.iter().find(|t| &t.id == tenant)?;
         let shard = shard_of(line, runtime.shards.len());
@@ -818,7 +817,7 @@ impl ServicePlane {
     /// # Ok::<(), String>(())
     /// ```
     pub fn drain_all(&self) -> Vec<(TenantId, Vec<PipelineReport>)> {
-        let plan: Vec<(TenantId, Vec<SyncSender<ShardMsg>>)> = {
+        let plan: Vec<(TenantId, Vec<ShardSender>)> = {
             let registry = self.read_registry();
             registry
                 .iter()
@@ -986,13 +985,13 @@ fn apportion_budget(budget: usize, floors: &[usize], shares: &[usize]) -> Vec<us
     out
 }
 
-fn drain_shards(senders: &[SyncSender<ShardMsg>]) -> Vec<PipelineReport> {
+fn drain_shards(senders: &[ShardSender]) -> Vec<PipelineReport> {
     // Kick every shard first so they drain concurrently, then collect.
     let replies: Vec<_> = senders
         .iter()
         .map(|tx| {
             let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-            let sent = tx.send(ShardMsg::Drain(reply_tx)).is_ok();
+            let sent = tx.send(ShardMsg::Drain(reply_tx));
             (sent, reply_rx)
         })
         .collect();
@@ -1007,7 +1006,7 @@ fn drain_shards(senders: &[SyncSender<ShardMsg>]) -> Vec<PipelineReport> {
 /// counters.
 #[derive(Clone)]
 pub struct TenantIngress {
-    senders: Vec<SyncSender<ShardMsg>>,
+    senders: Vec<ShardSender>,
     plane: ServicePlane,
 }
 
@@ -1023,7 +1022,7 @@ impl TenantIngress {
     /// Blocking routed send — see [`ServicePlane::ingest`].
     pub fn send(&self, line: String) -> IngestOutcome {
         let shard = shard_of(&line, self.senders.len());
-        if send_line(&self.senders[shard], line) {
+        if self.senders[shard].send_line(&line) {
             self.plane
                 .shared
                 .routing
@@ -1043,7 +1042,7 @@ impl TenantIngress {
     /// Lossy send — see [`ServicePlane::offer`].
     pub fn offer(&self, line: String) -> IngestOutcome {
         let shard = shard_of(&line, self.senders.len());
-        match offer_line(&self.senders[shard], line) {
+        match self.senders[shard].offer_line(&line) {
             Offer::Accepted => {
                 self.plane
                     .shared

@@ -7,19 +7,25 @@
 //! request sequence and its verdicts are bit-identical to a standalone
 //! pipeline fed only that shard's clients.
 
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use divscrape_pipeline::{Pipeline, PipelineReport, PipelineStats};
 
 /// How long a shard driver waits for input before ticking (publishing
-/// stats, observing shutdown).
+/// stats).
 const TICK: Duration = Duration::from_millis(25);
 
 /// Lines between stats publications while input is flowing.
 const PUBLISH_EVERY: u64 = 256;
+
+/// Text-arena capacity a drained batch keeps for its next fill. An
+/// ordinary batch (`queue_depth` lines) fits many times over; what one
+/// oversized line grew beyond this is given back.
+const ARENA_KEEP_BYTES: usize = 64 * 1024;
 
 /// Picks the shard that owns a log line, by hashing the line's client
 /// identity — the source address (first CLF token) and the user agent
@@ -77,12 +83,10 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Everything a shard driver accepts over its queue. Lines and control
-/// share one bounded channel, so control operations are ordered with the
-/// traffic they follow.
+/// The control messages a shard driver accepts. They are staged in the
+/// same bounded batch as the lines, so a control operation is ordered
+/// with the traffic it follows.
 pub(crate) enum ShardMsg {
-    /// One raw log line to parse and push.
-    Line(String),
     /// Flush the pipeline and reply with its report.
     Drain(SyncSender<PipelineReport>),
     /// Freeze (`true`) or thaw (`false`) the online recalibrator.
@@ -112,20 +116,193 @@ pub(crate) struct ShardPublished {
     pub parse_errors: u64,
 }
 
-/// One shard of one tenant: a bounded queue feeding a dedicated driver
-/// thread that owns the shard's [`Pipeline`].
-pub(crate) struct ShardHandle {
-    tx: SyncSender<ShardMsg>,
-    thread: Option<JoinHandle<()>>,
-    published: Arc<Mutex<ShardPublished>>,
-    worker_count: usize,
+/// One staged message: a line is the span of its bytes in the batch's
+/// text arena, a control message keeps its place among the lines.
+enum Staged {
+    Line(Range<usize>),
+    Control(ShardMsg),
 }
+
+/// What producers fill and the driver empties: one text arena holding
+/// every staged line back to back, and the messages in arrival order.
+#[derive(Default)]
+struct Batch {
+    text: String,
+    staged: Vec<Staged>,
+}
+
+impl Batch {
+    fn stage_line(&mut self, line: &str) {
+        let start = self.text.len();
+        self.text.push_str(line);
+        self.staged.push(Staged::Line(start..self.text.len()));
+    }
+
+    /// Empties a drained batch for its next fill, giving back arena
+    /// capacity beyond [`ARENA_KEEP_BYTES`].
+    fn recycle(&mut self) {
+        self.staged.clear();
+        self.text.clear();
+        self.text.shrink_to(ARENA_KEEP_BYTES);
+    }
+}
+
+struct QueueState {
+    batch: Batch,
+    /// The driver is parked on `ready`; staging into an empty batch
+    /// must wake it.
+    driver_parked: bool,
+    /// Producers parked on `space`; a swap must wake them.
+    producers_parked: usize,
+    /// The driver has exited; nothing is accepted any more.
+    closed: bool,
+}
+
+/// The hand-off between any number of producers and one shard driver: a
+/// double buffer. Producers append to the staging [`Batch`] under the
+/// mutex; the driver swaps the whole batch for its own drained spare, so
+/// a line costs a copy into a warm arena rather than a channel message,
+/// and both arenas recycle without a return path.
+struct ShardQueue {
+    /// Staged messages before `send` parks and `offer_line` refuses.
+    depth: usize,
+    state: Mutex<QueueState>,
+    /// The driver parks here while nothing is staged.
+    ready: Condvar,
+    /// Producers park here while `depth` messages are staged.
+    space: Condvar,
+}
+
+impl ShardQueue {
+    // A panicking holder cannot leave the state torn: a line's text
+    // lands before the span that refers to it, and spans are absolute.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Stages one message through `stage` once there is room, parking
+    /// while the batch is full if `wait` is set.
+    fn push(&self, wait: bool, stage: impl FnOnce(&mut Batch)) -> Offer {
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return Offer::Gone;
+            }
+            if state.batch.staged.len() < self.depth {
+                break;
+            }
+            if !wait {
+                return Offer::Full;
+            }
+            state.producers_parked += 1;
+            state = self
+                .space
+                .wait(state)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            state.producers_parked -= 1;
+        }
+        // Only the first message into an empty batch wakes the driver;
+        // it takes everything staged by the time it runs.
+        let wake = state.driver_parked && state.batch.staged.is_empty();
+        stage(&mut state.batch);
+        drop(state);
+        if wake {
+            self.ready.notify_one();
+        }
+        Offer::Accepted
+    }
+
+    /// Swaps the staged batch into `spare` (which must be empty),
+    /// parking up to `tick` while nothing is staged. Returns `false` if
+    /// there is still nothing. Parked producers are woken once per swap.
+    fn take(&self, spare: &mut Batch, tick: Duration) -> bool {
+        let mut state = self.lock();
+        if state.batch.staged.is_empty() {
+            state.driver_parked = true;
+            state = self
+                .ready
+                .wait_timeout(state, tick)
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
+            state.driver_parked = false;
+            if state.batch.staged.is_empty() {
+                return false;
+            }
+        }
+        std::mem::swap(&mut state.batch, spare);
+        let wake = state.producers_parked > 0;
+        drop(state);
+        if wake {
+            self.space.notify_all();
+        }
+        true
+    }
+}
+
+/// Closes the queue when the driver exits — by `Stop` or by a panic in
+/// the pipeline — so producers report the shard gone instead of parking
+/// forever, and staged reply channels hang up.
+struct CloseOnExit<'a>(&'a ShardQueue);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.closed = true;
+        state.batch.recycle();
+        drop(state);
+        self.0.space.notify_all();
+    }
+}
+
+/// A cloneable producer handle onto one shard's queue, for sending
+/// outside any registry lock (a blocking send while holding the lock
+/// would let one stalled tenant wedge every other tenant's ingestion).
+#[derive(Clone)]
+pub(crate) struct ShardSender(Arc<ShardQueue>);
 
 /// What became of a lossy line offer.
 pub(crate) enum Offer {
     Accepted,
     Full,
     Gone,
+}
+
+impl ShardSender {
+    /// Stages one line, blocking while the queue is full. `false` if
+    /// the shard has stopped.
+    pub(crate) fn send_line(&self, line: &str) -> bool {
+        matches!(
+            self.0.push(true, |batch| batch.stage_line(line)),
+            Offer::Accepted
+        )
+    }
+
+    /// Stages one line unless the queue is full.
+    pub(crate) fn offer_line(&self, line: &str) -> Offer {
+        self.0.push(false, |batch| batch.stage_line(line))
+    }
+
+    /// Stages one control message behind everything already staged,
+    /// blocking while the queue is full. `false` if the shard has
+    /// stopped.
+    pub(crate) fn send(&self, msg: ShardMsg) -> bool {
+        matches!(
+            self.0
+                .push(true, |batch| batch.staged.push(Staged::Control(msg))),
+            Offer::Accepted
+        )
+    }
+}
+
+/// One shard of one tenant: a bounded queue feeding a dedicated driver
+/// thread that owns the shard's [`Pipeline`].
+pub(crate) struct ShardHandle {
+    tx: ShardSender,
+    thread: Option<JoinHandle<()>>,
+    published: Arc<Mutex<ShardPublished>>,
+    worker_count: usize,
 }
 
 impl ShardHandle {
@@ -136,29 +313,38 @@ impl ShardHandle {
         // `ingest`/`offer`, and source pumps and the admin plane's
         // control messages (drain, freeze, budget, stop) share it so
         // control stays ordered with the traffic it follows.
-        let (tx, rx) = sync_channel(queue_depth.max(1));
+        let queue = Arc::new(ShardQueue {
+            depth: queue_depth.max(1),
+            state: Mutex::new(QueueState {
+                batch: Batch::default(),
+                driver_parked: false,
+                producers_parked: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+        });
         let published = Arc::new(Mutex::new(ShardPublished {
             stats: pipeline.stats(),
             parse_errors: 0,
         }));
         let worker_count = pipeline.worker_count();
         let board = Arc::clone(&published);
+        let driver_end = Arc::clone(&queue);
         let thread = thread::Builder::new()
             .name("divscrape-shard".into())
-            .spawn(move || run_shard(pipeline, rx, board))
+            .spawn(move || run_shard(pipeline, driver_end, board))
             .expect("spawn shard driver");
         ShardHandle {
-            tx,
+            tx: ShardSender(queue),
             thread: Some(thread),
             published,
             worker_count,
         }
     }
 
-    /// A clone of the shard's input queue, for sending outside any
-    /// registry lock (a blocking send while holding the lock would let
-    /// one stalled tenant wedge every other tenant's ingestion).
-    pub(crate) fn sender(&self) -> SyncSender<ShardMsg> {
+    /// A producer handle onto the shard's input queue.
+    pub(crate) fn sender(&self) -> ShardSender {
         self.tx.clone()
     }
 
@@ -177,27 +363,26 @@ impl ShardHandle {
 
     /// Stops the driver: final drain, parting counters, thread joined.
     pub(crate) fn stop(mut self) -> Option<ShardFinal> {
+        self.stop_and_join()
+    }
+
+    fn stop_and_join(&mut self) -> Option<ShardFinal> {
+        let thread = self.thread.take()?;
         // One-shot reply channels (here and in the plane's drain) carry
         // one message per control request, off the per-line path.
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let sent = self.tx.send(ShardMsg::Stop(reply_tx)).is_ok();
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+        let sent = self.tx.send(ShardMsg::Stop(reply_tx));
         let fin = if sent { reply_rx.recv().ok() } else { None };
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        let _ = thread.join();
         fin
     }
 }
 
-pub(crate) fn send_line(tx: &SyncSender<ShardMsg>, line: String) -> bool {
-    tx.send(ShardMsg::Line(line)).is_ok()
-}
-
-pub(crate) fn offer_line(tx: &SyncSender<ShardMsg>, line: String) -> Offer {
-    match tx.try_send(ShardMsg::Line(line)) {
-        Ok(()) => Offer::Accepted,
-        Err(TrySendError::Full(_)) => Offer::Full,
-        Err(TrySendError::Disconnected(_)) => Offer::Gone,
+impl Drop for ShardHandle {
+    /// A handle dropped without [`stop`](ShardHandle::stop) (a tenant
+    /// build backing out half-way) still drains and joins its driver.
+    fn drop(&mut self) {
+        let _ = self.stop_and_join();
     }
 }
 
@@ -209,55 +394,57 @@ fn publish(pipeline: &Pipeline, parse_errors: u64, board: &Mutex<ShardPublished>
     slot.parse_errors = parse_errors;
 }
 
-fn run_shard(mut pipeline: Pipeline, rx: Receiver<ShardMsg>, board: Arc<Mutex<ShardPublished>>) {
+fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<ShardPublished>>) {
+    let _close = CloseOnExit(&queue);
+    let mut batch = Batch::default();
     let mut parse_errors = 0u64;
     let mut since_publish = 0u64;
     loop {
-        match rx.recv_timeout(TICK) {
-            Ok(ShardMsg::Line(line)) => {
-                if pipeline.push_line(&line).is_err() {
-                    parse_errors += 1;
+        if !queue.take(&mut batch, TICK) {
+            publish(&pipeline, parse_errors, &board);
+            since_publish = 0;
+            continue;
+        }
+        let Batch { text, staged } = &mut batch;
+        for message in staged.drain(..) {
+            match message {
+                Staged::Line(span) => {
+                    if pipeline.push_line(&text[span]).is_err() {
+                        parse_errors += 1;
+                    }
+                    since_publish += 1;
                 }
-                since_publish += 1;
-                if since_publish >= PUBLISH_EVERY {
+                Staged::Control(ShardMsg::Drain(reply)) => {
+                    let report = pipeline.drain();
                     publish(&pipeline, parse_errors, &board);
                     since_publish = 0;
+                    let _ = reply.send(report);
+                }
+                Staged::Control(ShardMsg::Freeze(frozen)) => {
+                    pipeline.set_recalibration_frozen(frozen);
+                    publish(&pipeline, parse_errors, &board);
+                }
+                Staged::Control(ShardMsg::Budget(capacity)) => {
+                    pipeline.set_eviction_global_capacity(capacity);
+                    publish(&pipeline, parse_errors, &board);
+                }
+                Staged::Control(ShardMsg::Stop(reply)) => {
+                    let report = pipeline.drain();
+                    let stats = pipeline.stats();
+                    publish(&pipeline, parse_errors, &board);
+                    let _ = reply.send(ShardFinal {
+                        report,
+                        stats,
+                        parse_errors,
+                    });
+                    return;
                 }
             }
-            Ok(ShardMsg::Drain(reply)) => {
-                let report = pipeline.drain();
-                publish(&pipeline, parse_errors, &board);
-                since_publish = 0;
-                let _ = reply.send(report);
-            }
-            Ok(ShardMsg::Freeze(frozen)) => {
-                pipeline.set_recalibration_frozen(frozen);
-                publish(&pipeline, parse_errors, &board);
-            }
-            Ok(ShardMsg::Budget(capacity)) => {
-                pipeline.set_eviction_global_capacity(capacity);
-                publish(&pipeline, parse_errors, &board);
-            }
-            Ok(ShardMsg::Stop(reply)) => {
-                let report = pipeline.drain();
-                let stats = pipeline.stats();
-                publish(&pipeline, parse_errors, &board);
-                let _ = reply.send(ShardFinal {
-                    report,
-                    stats,
-                    parse_errors,
-                });
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                publish(&pipeline, parse_errors, &board);
-                since_publish = 0;
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // Plane dropped without an orderly stop: flush and exit.
-                let _ = pipeline.drain();
-                return;
-            }
+        }
+        batch.recycle();
+        if since_publish >= PUBLISH_EVERY {
+            publish(&pipeline, parse_errors, &board);
+            since_publish = 0;
         }
     }
 }
@@ -308,6 +495,40 @@ mod tests {
         for (shard, &count) in counts.iter().enumerate() {
             assert!(count > 40, "shard {shard} starved: {counts:?}");
         }
+    }
+
+    #[test]
+    fn an_oversized_line_does_not_pin_its_arena() {
+        let huge = "x".repeat(1 << 20);
+        let mut batch = Batch::default();
+        batch.stage_line(&huge);
+        assert!(batch.text.capacity() >= huge.len());
+        batch.recycle();
+        assert!(batch.text.capacity() <= ARENA_KEEP_BYTES);
+
+        // And through a live shard: after the line has been handed over,
+        // each buffer of the pair comes back trimmed. A drain's reply
+        // precedes its batch's recycling, so it is the *next* swap that
+        // shows a buffer; three drains show both.
+        let pipeline = divscrape_pipeline::PipelineBuilder::new()
+            .detector(divscrape_detect::Sentinel::stock())
+            .build()
+            .expect("pipeline builds");
+        let shard = ShardHandle::spawn(pipeline, 4);
+        let tx = shard.sender();
+        assert!(tx.send_line(&huge)); // not a log line: counted, not fatal
+        for _ in 0..3 {
+            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+            assert!(tx.send(ShardMsg::Drain(reply_tx)));
+            reply_rx.recv().expect("driver replies");
+            let staged = tx.0.lock().batch.text.capacity();
+            assert!(
+                staged <= ARENA_KEEP_BYTES,
+                "staging arena kept {staged} bytes"
+            );
+        }
+        let parting = shard.stop().expect("driver stops");
+        assert_eq!(parting.parse_errors, 1);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use divscrape_detect::{Sentinel, TenantId};
-use divscrape_pipeline::{Adjudication, Alert, AlertSink, PipelineBuilder, ScoredEntry};
+use divscrape_pipeline::{
+    Adjudication, Alert, AlertSink, PipelineBuilder, RecordPolicy, ScoredEntry,
+};
 use divscrape_service::{IngestOutcome, ServicePlane};
 use divscrape_traffic::{generate, ScenarioConfig};
 
@@ -46,8 +48,8 @@ impl AlertSink for GatedSink {
         self.wait_until_open();
     }
 
-    fn wants_entries(&self) -> bool {
-        true
+    fn entry_policy(&self) -> RecordPolicy {
+        RecordPolicy::AllEntries
     }
 }
 

@@ -11,7 +11,7 @@ use std::time::{Duration, SystemTime};
 
 use divscrape_detect::TenantId;
 
-use crate::frame::{encode_frame, FrameScanner, ScanStep};
+use crate::frame::{begin_frame, encode_frame, finish_frame, FrameScanner, ScanStep};
 
 /// When the store calls `fsync` (well, `fdatasync`) on segment files.
 ///
@@ -165,19 +165,18 @@ pub struct Record {
 }
 
 impl Record {
-    /// Serializes the record into a frame payload.
-    fn encode(&self) -> Vec<u8> {
-        let tenant = self.key.tenant.as_ref().map(TenantId::as_str).unwrap_or("");
+    /// Appends a record's frame payload — kind, key, tenant, body — to
+    /// `out`, from borrowed parts. The inverse of [`decode`](Self::decode).
+    fn encode_into(key: &RecordKey, kind: RecordKind, payload: &[u8], out: &mut Vec<u8>) {
+        let tenant = key.tenant.as_ref().map(TenantId::as_str).unwrap_or("");
         debug_assert!(tenant.len() <= u16::MAX as usize);
-        let mut out = Vec::with_capacity(23 + tenant.len() + self.payload.len());
-        out.push(self.kind.to_byte());
-        out.extend_from_slice(&self.key.client.0.octets());
-        out.extend_from_slice(&self.key.client.1.to_le_bytes());
-        out.extend_from_slice(&self.key.offset.to_le_bytes());
+        out.push(kind.to_byte());
+        out.extend_from_slice(&key.client.0.octets());
+        out.extend_from_slice(&key.client.1.to_le_bytes());
+        out.extend_from_slice(&key.offset.to_le_bytes());
         out.extend_from_slice(&(tenant.len() as u16).to_le_bytes());
         out.extend_from_slice(tenant.as_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        out.extend_from_slice(payload);
     }
 
     /// Parses a record from a frame payload.
@@ -335,6 +334,10 @@ pub struct RetentionSummary {
     pub records_dropped: u64,
 }
 
+/// Write buffer in front of the active segment: one `write(2)` per
+/// couple of hundred records rather than per couple of dozen.
+const SEGMENT_BUFFER_BYTES: usize = 64 * 1024;
+
 fn segment_path(dir: &Path, n: u64) -> PathBuf {
     dir.join(format!("seg-{n:08}.log"))
 }
@@ -488,6 +491,8 @@ pub struct AlertStore {
     config: StoreConfig,
     segments: Vec<u64>,
     writer: BufWriter<File>,
+    /// The frame being appended, assembled here once and reused.
+    frame: Vec<u8>,
     seg_len: u64,
     closed_bytes: u64,
     index: HashMap<(Option<TenantId>, RecordKind), OffsetRanges>,
@@ -586,7 +591,8 @@ impl AlertStore {
             }
         }
 
-        let writer = BufWriter::new(
+        let writer = BufWriter::with_capacity(
+            SEGMENT_BUFFER_BYTES,
             OpenOptions::new()
                 .append(true)
                 .open(segment_path(&dir, last))?,
@@ -596,6 +602,7 @@ impl AlertStore {
             config,
             segments,
             writer,
+            frame: Vec::new(),
             seg_len,
             closed_bytes,
             index,
@@ -608,7 +615,18 @@ impl AlertStore {
     /// Appends one record. Returns `Ok(true)` if it was written and
     /// `Ok(false)` if its key was already stored (idempotent no-op).
     pub fn append(&mut self, record: Record) -> io::Result<bool> {
-        let wrote = self.append_inner(&record)?;
+        self.append_ref(&record.key, record.kind, &record.payload)
+    }
+
+    /// [`append`](Self::append) from borrowed parts, for callers that
+    /// render each payload into a buffer they reuse.
+    pub fn append_ref(
+        &mut self,
+        key: &RecordKey,
+        kind: RecordKind,
+        payload: &[u8],
+    ) -> io::Result<bool> {
+        let wrote = self.append_inner(key, kind, payload)?;
         if wrote && self.config.fsync == FsyncPolicy::Always {
             self.sync()?;
         }
@@ -623,7 +641,7 @@ impl AlertStore {
     ) -> io::Result<AppendSummary> {
         let mut summary = AppendSummary::default();
         for record in records {
-            if self.append_inner(&record)? {
+            if self.append_inner(&record.key, record.kind, &record.payload)? {
                 summary.appended += 1;
             } else {
                 summary.skipped += 1;
@@ -635,26 +653,36 @@ impl AlertStore {
         Ok(summary)
     }
 
-    fn append_inner(&mut self, record: &Record) -> io::Result<bool> {
-        let key = (record.key.tenant.clone(), record.kind);
+    /// The one append path: dedupe on the key, assemble the frame once
+    /// in the reused buffer (header, key, payload; checksummed in
+    /// place), rotate if it would not fit, write it whole.
+    fn append_inner(
+        &mut self,
+        key: &RecordKey,
+        kind: RecordKind,
+        payload: &[u8],
+    ) -> io::Result<bool> {
+        let slot = (key.tenant.clone(), kind);
         if self
             .index
-            .get(&key)
-            .is_some_and(|set| set.contains(record.key.offset))
+            .get(&slot)
+            .is_some_and(|set| set.contains(key.offset))
         {
             self.duplicates += 1;
             return Ok(false);
         }
-        let payload = record.encode();
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        encode_frame(&payload, &mut framed);
-        if self.seg_len > 0 && self.seg_len + framed.len() as u64 > self.config.segment_max_bytes {
+        self.frame.clear();
+        let at = begin_frame(&mut self.frame);
+        Record::encode_into(key, kind, payload, &mut self.frame);
+        finish_frame(&mut self.frame, at);
+        let framed = self.frame.len() as u64;
+        if self.seg_len > 0 && self.seg_len + framed > self.config.segment_max_bytes {
             self.rotate()?;
         }
-        self.writer.write_all(&framed)?;
-        self.seg_len += framed.len() as u64;
+        self.writer.write_all(&self.frame)?;
+        self.seg_len += framed;
         self.records += 1;
-        self.index.entry(key).or_default().insert(record.key.offset);
+        self.index.entry(slot).or_default().insert(key.offset);
         Ok(true)
     }
 
@@ -669,7 +697,7 @@ impl AlertStore {
             .create_new(true)
             .open(segment_path(&self.dir, next))?;
         self.closed_bytes += self.seg_len;
-        self.writer = BufWriter::new(file);
+        self.writer = BufWriter::with_capacity(SEGMENT_BUFFER_BYTES, file);
         self.seg_len = 0;
         self.segments.push(next);
         Ok(())
