@@ -134,6 +134,7 @@
 mod builder;
 mod engine;
 mod mux;
+mod pool;
 mod record;
 mod sink;
 mod stats;
