@@ -309,7 +309,11 @@ impl IngestDriver {
 
     /// Sets the source poll timeout — the upper bound on how long a stop
     /// request can go unnoticed while the source is quiet (default
-    /// 25ms).
+    /// 25ms). The driver waits for less while the pipeline holds entries
+    /// that are coming due
+    /// ([`max_delay`](divscrape_pipeline::PipelineBuilder::max_delay)),
+    /// so a source that goes quiet still has its last lines adjudicated
+    /// on time.
     #[must_use]
     pub fn tick(mut self, tick: Duration) -> Self {
         self.tick = tick.max(Duration::from_millis(1));
@@ -487,10 +491,11 @@ impl IngestDriver {
             if self.stats.lines_read.is_multiple_of(1024) {
                 self.sample_backlog(tail);
             }
+            let wait = self.source_wait();
             let polled = Instant::now();
             let mut commit_due = false;
             match tail
-                .poll_ref(self.tick, &mut scratch)
+                .poll_ref(wait, &mut scratch)
                 .map_err(IngestError::Source)?
             {
                 SourceEventRef::Line(line) => {
@@ -567,9 +572,13 @@ impl IngestDriver {
             if self.stats.lines_read.is_multiple_of(1024) {
                 self.sample_backlog(&*source);
             }
+            // On a quiet source this is also what flushes the tail: the
+            // wait ends at the buffered entries' deadline, `Idle` comes
+            // back, and the next turn's poll submits them.
+            let wait = self.source_wait();
             let polled = Instant::now();
             match source
-                .poll_ref(self.tick, &mut scratch)
+                .poll_ref(wait, &mut scratch)
                 .map_err(IngestError::Source)?
             {
                 SourceEventRef::Line(line) => {
@@ -604,6 +613,15 @@ impl IngestDriver {
                 SourceEventRef::Eof => return Ok(EndReason::SourceExhausted),
             }
         }
+    }
+
+    /// Ticks the pipeline's flush clock ([`Pipeline::poll`]) and returns
+    /// how long the source may be waited on: until the buffered entries'
+    /// deadline, never longer than the configured tick.
+    fn source_wait(&mut self) -> Duration {
+        self.pipeline
+            .poll()
+            .map_or(self.tick, |due| due.min(self.tick))
     }
 
     /// Updates the source-lag high-water mark.

@@ -1,6 +1,7 @@
 //! Ingestion edge cases: mid-line chunk boundaries over the socket,
 //! file rotation/truncation mid-tail, `ErrorPolicy` semantics on
-//! malformed CLF lines, and graceful shutdown draining the pipeline.
+//! malformed CLF lines, graceful shutdown draining the pipeline, and a
+//! tail that goes quiet still delivering its last lines' alerts.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -8,12 +9,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use divscrape_detect::baselines::RateLimiter;
 use divscrape_detect::Sentinel;
 use divscrape_ingest::{
     EndReason, ErrorPolicy, FileTail, IngestDriver, IngestError, LogSource, Replay, ReplayPace,
     SocketSource, SocketSourceConfig, SourceEvent,
 };
-use divscrape_pipeline::PipelineBuilder;
+use divscrape_pipeline::{Alert, PipelineBuilder};
 
 fn clf_line(i: usize) -> String {
     format!(
@@ -359,6 +361,65 @@ fn stop_handle_shuts_down_gracefully_and_drains_everything() {
     assert_eq!(
         outcome.pipeline.entries_processed,
         outcome.stats.entries_ingested
+    );
+}
+
+#[test]
+fn a_tail_that_goes_quiet_still_delivers_its_last_alerts() {
+    // Ten requests from one flooding client, then silence: no EOF (the
+    // tail follows), no stop, no drain, and nowhere near a full chunk.
+    // The driver's idle wait is the only clock there is, so it must tick
+    // the pipeline's flush deadline — the alerts reach the sink while
+    // the stream is still open.
+    let path = temp_path("quiet-tail");
+    let _cleanup = Cleanup(path.clone());
+    std::fs::write(&path, String::new()).unwrap();
+    let mut tail = FileTail::follow_from_start(&path).unwrap();
+
+    let (alert_tx, alert_rx) = std::sync::mpsc::channel::<u64>();
+    let pipeline = PipelineBuilder::new()
+        .detector(RateLimiter::new(5))
+        .sink(move |alert: &Alert<'_>| {
+            let _ = alert_tx.send(alert.index);
+        })
+        .build()
+        .unwrap();
+    let mut driver = IngestDriver::new(pipeline);
+    let stop = driver.stop_handle();
+    let running = std::thread::spawn(move || driver.run(&mut tail).unwrap());
+
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    for i in 0..10 {
+        writeln!(
+            file,
+            "10.9.9.9 - - [11/Mar/2018:00:00:{i:02} +0000] \"GET /items/{i} HTTP/1.1\" 200 321 \"-\" \"curl/7.58.0\""
+        )
+        .unwrap();
+    }
+    file.flush().unwrap();
+
+    // The tenth line's alert means all ten were read and adjudicated.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let index = alert_rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .expect("a quiet tail must still deliver its alerts within the second");
+        if index == 9 {
+            break;
+        }
+    }
+
+    // Only now end the run; everything was already adjudicated.
+    stop.stop();
+    let outcome = running.join().unwrap();
+    assert_eq!(outcome.end, EndReason::Stopped);
+    assert_eq!(outcome.stats.entries_ingested, 10);
+    assert!(
+        outcome.pipeline.deadline_flushes >= 1,
+        "the deadline, not the drain, must have submitted the tail"
     );
 }
 

@@ -5,9 +5,12 @@ use divscrape_ensemble::{
     DriftAlarm, KOutOfN, RecalibrationPolicy, Recalibrator, ThresholdController, ThresholdPolicy,
     WeightedVote,
 };
+use std::time::Duration;
+
 use divscrape_httplog::LogEntry;
 
 use crate::engine::Pipeline;
+use crate::flush::DEFAULT_MAX_DELAY;
 use crate::sink::AlertSink;
 use crate::PipelineDetector;
 
@@ -234,6 +237,7 @@ pub struct PipelineBuilder {
     sinks: Vec<Box<dyn AlertSink>>,
     workers: usize,
     chunk_capacity: usize,
+    max_delay: Duration,
     queue_depth: usize,
     eviction: EvictionConfig,
     eviction_budget: Option<usize>,
@@ -266,6 +270,7 @@ impl std::fmt::Debug for PipelineBuilder {
             .field("sinks", &self.sinks.len())
             .field("workers", &self.workers)
             .field("chunk_capacity", &self.chunk_capacity)
+            .field("max_delay", &self.max_delay)
             .field("queue_depth", &self.queue_depth)
             .field("eviction", &self.eviction)
             .field("eviction_budget", &self.eviction_budget)
@@ -280,7 +285,8 @@ impl std::fmt::Debug for PipelineBuilder {
 
 impl PipelineBuilder {
     /// A builder with no detectors, 1-out-of-n adjudication, one worker,
-    /// the default chunk capacity and queue depth, and eviction disabled.
+    /// the default chunk capacity, flush deadline and queue depth, and
+    /// eviction disabled.
     pub fn new() -> Self {
         Self {
             detectors: Vec::new(),
@@ -289,6 +295,7 @@ impl PipelineBuilder {
             sinks: Vec::new(),
             workers: 1,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
+            max_delay: DEFAULT_MAX_DELAY,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             eviction: EvictionConfig::DISABLED,
             eviction_budget: None,
@@ -352,9 +359,67 @@ impl PipelineBuilder {
 
     /// Sets how many entries are buffered before a chunk is processed
     /// (default 4096). Any value produces identical verdicts; larger
-    /// chunks amortize dispatch and sharding overhead better.
+    /// chunks amortize dispatch and sharding overhead better. A chunk
+    /// also ends early when its oldest entry reaches
+    /// [`max_delay`](Self::max_delay).
     pub fn chunk_capacity(mut self, capacity: usize) -> Self {
         self.chunk_capacity = capacity;
+        self
+    }
+
+    /// Bounds how long a pushed entry may sit in the ingest buffer
+    /// before it is submitted to the detectors (default
+    /// [`DEFAULT_MAX_DELAY`], 10 ms): the buffer is submitted when it
+    /// reaches [`chunk_capacity`](Self::chunk_capacity) **or** when its
+    /// oldest entry is this old, whichever comes first. Chunk size so
+    /// adapts by itself, from a few entries at a trickle to the full
+    /// capacity at saturation, where chunks fill long before the
+    /// deadline and nothing changes.
+    ///
+    /// The deadline is checked inside the push calls (the clock is read
+    /// on a chunk's 1st, 2nd, 4th, 8th and 16th push and every 32nd
+    /// after, never on every push) and by [`Pipeline::poll`], which a
+    /// driver that owns a wait — the service plane's shard drivers, the
+    /// ingest driver — calls so that a stream that goes *quiet* still
+    /// flushes its tail. A caller that pushes from its own loop and can
+    /// go quiet should do the same.
+    ///
+    /// `Duration::MAX` is **fill-only** — the same code with a deadline
+    /// that never comes: chunks end exactly at `chunk_capacity`,
+    /// [`Pipeline::flush`], `drain` and the `set_*` calls, so chunk
+    /// counts are a pure function of the calls made.
+    ///
+    /// # What flush timing may and may not change
+    ///
+    /// Invariant under **any** flush schedule (pinned by
+    /// `tests/pipeline_equivalence.rs`): every member's verdict for
+    /// every entry, the combined verdicts under a static rule or a
+    /// replayed schedule, the *set* of alerts every sink sees and — with
+    /// triage off — their order.
+    ///
+    /// Not invariant, which is why fill-only stays expressible:
+    ///
+    /// * **Where a live learner's installs land.** Recalibrator and
+    ///   threshold-controller updates take effect at chunk boundaries,
+    ///   so with a deadline the live schedule depends on arrival timing.
+    ///   Every install is recorded with its
+    ///   [`at_entry`](crate::AppliedRuleUpdate::at_entry) position, and
+    ///   replaying the recorded schedule through
+    ///   [`Pipeline::set_adjudication`] reproduces the run bit for bit
+    ///   under any flush timing on either side.
+    /// * **The order of triage's late alerts.** An escalated client's
+    ///   suppressed history alerts *in feed order* if it sits in the
+    ///   chunk being finalized and *late* (ahead of that chunk's own
+    ///   alerts) if an earlier chunk already finalized it; where the
+    ///   boundary falls decides which.
+    /// * **Entry records of suppressed-then-replayed entries.** A sink
+    ///   recording under [`RecordPolicy::VotedEntries`](crate::RecordPolicy)
+    ///   sees a replayed entry's record only when the replay lands in
+    ///   the entry's own chunk; an entry finalized in an earlier chunk
+    ///   was offered as all-clear (and skipped), and only its late alert
+    ///   follows.
+    pub fn max_delay(mut self, max_delay: Duration) -> Self {
+        self.max_delay = max_delay;
         self
     }
 
@@ -670,6 +735,7 @@ impl PipelineBuilder {
             self.sinks,
             self.workers,
             self.chunk_capacity,
+            self.max_delay,
             self.queue_depth,
             eviction,
             self.triage,

@@ -26,6 +26,10 @@
 //!   driver keeps a reorder buffer keyed by chunk sequence number and
 //!   finalizes chunks strictly in feed order: adjudication, sink
 //!   delivery and outcome accumulation all happen on the driver thread.
+//!   It collects without blocking at every submission, at the flush
+//!   policy's clock cadence inside the push calls and in
+//!   [`Pipeline::poll`], so a finished chunk does not wait for the next
+//!   one to fill.
 //!
 //! Chunks are client-sharded: every entry goes to the worker that owns
 //! its client (stable hash), each worker batches maximal runs of
@@ -44,7 +48,8 @@
 //! owned [`LogEntry`]'s canonical line into the same arena and parse it
 //! there, so the two can be mixed freely without forcing a chunk
 //! boundary. The whole arena ships to the pool when it reaches the chunk
-//! capacity, and workers run it through the detectors
+//! capacity or its oldest entry reaches the flush deadline (the policy
+//! lives in `flush.rs`), and workers run it through the detectors
 //! ([`Detector::observe_batch_refs`]) over [`EntryRef`] views, so the
 //! steady-state path from line bytes to verdict performs no per-entry
 //! heap allocation. Owned `LogEntry` values are materialized lazily at
@@ -64,6 +69,7 @@ use divscrape_ensemble::{AlertVector, Recalibrator, ThresholdController, Weighte
 use divscrape_httplog::{EntryBlock, LogEntry, ParseLogError};
 
 use crate::builder::{Adjudication, BuildError, DriftHook, LabelOracle, Rule};
+use crate::flush::{Cadence, FlushClock, COLLECT_INTERVAL};
 use crate::pool::{
     run_shard, run_shard_with_replays, spawn_worker, Job, ShardColumns, WorkerHandle, WorkerResult,
 };
@@ -113,6 +119,8 @@ struct StatCounters {
     max_live_clients: usize,
     drift_alarms: u64,
     updates: RuntimeUpdates,
+    deadline_flushes: u64,
+    max_buffered_age: Duration,
 }
 
 /// Where an [`AppliedRuleUpdate`] came from: a manual operator call, the
@@ -162,13 +170,18 @@ pub struct AppliedRuleUpdate {
 /// for the model and a quickstart (the engine-module source documents the
 /// worker-pool execution model in full).
 ///
-/// Entries are buffered until the chunk capacity is reached, then the
-/// chunk is client-sharded across the persistent worker pool. Finished
-/// chunks are finalized strictly in feed order on the driver thread: the
-/// adjudication rule combines the member verdicts, sinks fire for every
-/// adjudicated alert, and the per-entry outcomes accumulate until
-/// [`drain`](Self::drain) collects them. Chunk boundaries, push
-/// granularity and worker count never change any verdict.
+/// Entries are buffered until the chunk capacity is reached **or** the
+/// oldest of them has waited
+/// [`max_delay`](crate::PipelineBuilder::max_delay) (10 ms by default),
+/// then the chunk is client-sharded across the persistent worker pool.
+/// Finished chunks are finalized strictly in feed order on the driver
+/// thread: the adjudication rule combines the member verdicts, sinks
+/// fire for every adjudicated alert, and the per-entry outcomes
+/// accumulate until [`drain`](Self::drain) collects them. Chunk
+/// boundaries, push granularity and worker count never change any
+/// verdict; [`flush`](Self::flush) and [`poll`](Self::poll) are the two
+/// primitives for a caller that wants a boundary now, or owns the clock
+/// a quiet stream needs.
 ///
 /// # Backpressure
 ///
@@ -230,8 +243,12 @@ pub struct Pipeline {
     /// entry's index to its `acc_*` position.
     acc_base: u64,
     /// The one ingest buffer: the arena every push flavor appends to,
-    /// submitted as a chunk when it reaches the chunk capacity.
+    /// submitted as a chunk when it reaches the chunk capacity or its
+    /// oldest entry reaches the flush deadline.
     block: EntryBlock,
+    /// The age of `block`'s oldest entry against
+    /// [`max_delay`](crate::PipelineBuilder::max_delay).
+    flush_clock: FlushClock,
     /// Finalized arenas ready for reuse — text/meta capacity and the
     /// warm user-agent interner kept, so steady-state `push_line`
     /// traffic allocates nothing per entry.
@@ -309,6 +326,7 @@ impl Pipeline {
         sinks: Vec<Box<dyn AlertSink>>,
         workers: usize,
         chunk_capacity: usize,
+        max_delay: Duration,
         queue_depth: usize,
         eviction: EvictionConfig,
         triage: Option<divscrape_detect::TriagePolicy>,
@@ -385,6 +403,7 @@ impl Pipeline {
             queue_depth,
             eviction,
             block: EntryBlock::new(),
+            flush_clock: FlushClock::new(max_delay),
             block_pool: Vec::new(),
             acc_combined: Vec::new(),
             acc_members: vec![Vec::new(); n_members],
@@ -431,7 +450,7 @@ impl Pipeline {
         // exactly between entries pushed before and after this call
         // (chunk boundaries never change verdicts, so the early flush
         // is otherwise unobservable).
-        self.flush_residue();
+        self.flush();
         self.eviction = eviction;
         self.stats.updates.eviction += 1;
         // The triage filter lives on the driver: its state table swaps
@@ -524,7 +543,7 @@ impl Pipeline {
         // exactly between entries pushed before and after this call
         // (chunk boundaries never change member verdicts, so the early
         // flush is otherwise unobservable).
-        self.flush_residue();
+        self.flush();
         self.pending_rules.push_back((self.next_seq, rule));
         Ok(())
     }
@@ -644,6 +663,9 @@ impl Pipeline {
             triage_replayed_entries: triage.replayed,
             triage_spilled_entries: triage.spilled,
             drift_alarms: self.stats.drift_alarms,
+            deadline_flushes: self.stats.deadline_flushes,
+            max_buffered_age_us: u64::try_from(self.stats.max_buffered_age.as_micros())
+                .unwrap_or(u64::MAX),
         }
     }
 
@@ -710,9 +732,7 @@ impl Pipeline {
     /// to [`LogEntry::parse`].
     pub fn push_line(&mut self, line: &str) -> Result<(), ParseLogError> {
         self.block.push_line(line)?;
-        if self.block.len() >= self.chunk_capacity {
-            self.flush_residue();
-        }
+        self.after_push();
         Ok(())
     }
 
@@ -744,9 +764,31 @@ impl Pipeline {
                 self.requests_seen()
             );
         }
-        if self.block.len() >= self.chunk_capacity {
-            self.flush_residue();
+        self.after_push();
+    }
+
+    /// The flush policy's per-push step: submit the arena when it is
+    /// full or — at the amortised clock cadence — when its oldest entry
+    /// has reached the deadline; at the same cadence, collect whatever
+    /// the pool has finished.
+    #[inline]
+    fn after_push(&mut self) {
+        let buffered = self.block.len();
+        if buffered >= self.chunk_capacity {
+            self.flush();
+            return;
         }
+        match self.flush_clock.pushed(buffered) {
+            Cadence::Skip => {}
+            Cadence::Tick => self.collect_finished(),
+            Cadence::Due => self.flush_overdue(),
+        }
+    }
+
+    /// Submits a residue whose oldest entry reached the deadline.
+    fn flush_overdue(&mut self) {
+        self.stats.deadline_flushes += 1;
+        self.flush();
     }
 
     /// Processes anything still buffered or in flight and returns
@@ -764,7 +806,7 @@ impl Pipeline {
     /// every client's entries still reach its owning worker in feed
     /// order.
     pub fn drain(&mut self) -> PipelineReport {
-        self.flush_residue();
+        self.flush();
         self.wait_for_inflight();
         // A rule change requested after the last pushed entry has no
         // chunk left to gate on: install it now, at the stream's end,
@@ -843,6 +885,7 @@ impl Pipeline {
         // The stream restarts under whatever rule is installed now.
         self.initial_rule = self.rule.clone();
         self.block.clear();
+        self.flush_clock.clear();
         self.acc_combined.clear();
         for acc in &mut self.acc_members {
             acc.clear();
@@ -855,17 +898,100 @@ impl Pipeline {
         self.worker_evict = vec![EvictionStats::default(); self.worker_evict.len()];
     }
 
-    /// Submits the partially filled entry arena, swapping in a recycled
-    /// (or fresh) one — the boundary flush used by `drain`,
-    /// `set_eviction` and `set_adjudication`, and the capacity flush of
-    /// every push flavor.
-    fn flush_residue(&mut self) {
+    /// An explicit chunk boundary: submits whatever is buffered to the
+    /// detectors now — without waiting for the arena to fill or the
+    /// [`max_delay`](crate::PipelineBuilder::max_delay) deadline — and
+    /// finalizes every chunk that is ready (adjudication, sinks'
+    /// `on_alert`/`on_entry`). It does **not** wait for chunks still in
+    /// flight on the pool (a later [`poll`](Self::poll), push or
+    /// [`drain`](Self::drain) collects them) and never calls
+    /// [`AlertSink::flush`]: durability stays `drain`'s barrier.
+    ///
+    /// Every push flavor, the deadline, `drain`, `set_eviction` and
+    /// `set_adjudication` go through this one boundary. What a boundary
+    /// may and may not change is listed at
+    /// [`max_delay`](crate::PipelineBuilder::max_delay).
+    ///
+    /// ```
+    /// use divscrape_detect::Sentinel;
+    /// use divscrape_pipeline::PipelineBuilder;
+    ///
+    /// let mut pipeline = PipelineBuilder::new()
+    ///     .detector(Sentinel::stock())
+    ///     .build()
+    ///     .map_err(|e| e.to_string())?;
+    /// let line = r#"198.51.100.7 - - [11/Mar/2018:06:25:14 +0000] "GET /search HTTP/1.1" 200 5123 "-" "curl/7.58.0""#;
+    /// pipeline.push_line(line).map_err(|e| e.to_string())?;
+    /// assert_eq!(pipeline.pending(), 1);
+    /// pipeline.flush();
+    /// // Adjudicated, sinks fired; the report still waits for `drain`.
+    /// assert_eq!(pipeline.pending(), 0);
+    /// assert_eq!(pipeline.stats().entries_processed, 1);
+    /// assert_eq!(pipeline.drain().requests(), 1);
+    /// # Ok::<(), String>(())
+    /// ```
+    pub fn flush(&mut self) {
         if self.block.is_empty() {
+            self.collect_finished();
             return;
         }
+        let age = self.flush_clock.clear();
+        self.stats.max_buffered_age = self.stats.max_buffered_age.max(age);
         let fresh = self.block_pool.pop().unwrap_or_default();
         let block = std::mem::replace(&mut self.block, fresh);
         self.submit_block(Arc::new(block));
+    }
+
+    /// The latency bound's clock tick, for callers that own a wait: a
+    /// thread that parks on its input (the service plane's shard
+    /// drivers, the ingest driver's source loop) calls this before
+    /// parking and parks no longer than the returned time.
+    ///
+    /// Submits the buffered entries if their oldest has waited
+    /// [`max_delay`](crate::PipelineBuilder::max_delay), collects and
+    /// finalizes whatever the pool has finished, and returns how soon it
+    /// wants to be called again: the time left to the buffered entries'
+    /// deadline, a short collection interval while chunks are in flight
+    /// on the pool, `None` when nothing is buffered or in flight (park
+    /// as long as you like — the next push restarts the clock).
+    ///
+    /// Pushes check the deadline themselves (at an amortised cadence),
+    /// so a caller that pushes continuously needs no `poll`; it exists
+    /// for the stream that goes **quiet** with entries still buffered,
+    /// which no push will ever flush.
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use divscrape_detect::Sentinel;
+    /// use divscrape_pipeline::PipelineBuilder;
+    ///
+    /// let mut pipeline = PipelineBuilder::new()
+    ///     .detector(Sentinel::stock())
+    ///     .max_delay(Duration::from_millis(2))
+    ///     .build()
+    ///     .map_err(|e| e.to_string())?;
+    /// assert_eq!(pipeline.poll(), None); // nothing buffered
+    /// let line = r#"198.51.100.7 - - [11/Mar/2018:06:25:14 +0000] "GET / HTTP/1.1" 200 5 "-" "curl/7.58.0""#;
+    /// pipeline.push_line(line).map_err(|e| e.to_string())?;
+    /// // The source went quiet: wait as `poll` says, then poll again.
+    /// while let Some(wait) = pipeline.poll() {
+    ///     std::thread::sleep(wait);
+    /// }
+    /// assert_eq!(pipeline.stats().entries_processed, 1);
+    /// assert_eq!(pipeline.stats().deadline_flushes, 1);
+    /// # Ok::<(), String>(())
+    /// ```
+    pub fn poll(&mut self) -> Option<Duration> {
+        let mut deadline = self.flush_clock.remaining();
+        if deadline == Some(Duration::ZERO) {
+            self.flush_overdue();
+            deadline = None; // just submitted: nothing is buffered
+        } else {
+            self.collect_finished();
+        }
+        let collect = (!self.inflight.is_empty()).then_some(COLLECT_INTERVAL);
+        // Whichever of the two comes first, if either.
+        deadline.into_iter().chain(collect).min()
     }
 
     /// Hard cap on chunks in flight. Per-worker queues alone do not
@@ -1006,7 +1132,15 @@ impl Pipeline {
             }
         }
 
-        // Absorb whatever already finished and finalize in feed order.
+        self.collect_finished();
+    }
+
+    /// Absorbs whatever the pool has already finished and finalizes in
+    /// feed order, without blocking.
+    fn collect_finished(&mut self) {
+        if self.inflight.is_empty() {
+            return;
+        }
         while let Ok(result) = self.results.try_recv() {
             self.apply_result(result);
         }
@@ -1779,6 +1913,7 @@ mod tests {
             .detector(Sentinel::stock())
             .workers(8)
             .chunk_capacity(4096) // never fills: everything is drain residue
+            .max_delay(Duration::MAX) // and no deadline submits it early
             .build()
             .unwrap();
         pipeline.push_batch(few);
@@ -1789,6 +1924,47 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_pipeline_delivers_after_flush_and_polls_with_no_further_push() {
+        // On the pool path a finished chunk used to be collected only by
+        // the next submission. With a quiet source there is none:
+        // `flush` ships the residue, `poll` alone must bring it home.
+        let log = generate(&ScenarioConfig::tiny(32)).unwrap();
+        let head = &log.entries()[..300];
+        let expected = offline_kofn(&log, 1)[..300]
+            .iter()
+            .filter(|alert| **alert)
+            .count() as u64;
+        assert!(expected > 0, "the head of the log must alert");
+        let counter = CountingSink::new();
+        let count = counter.handle();
+        let mut pipeline = PipelineBuilder::new()
+            .detector(Sentinel::stock())
+            .detector(Arcane::stock())
+            .sink(counter)
+            .workers(2)
+            .max_delay(Duration::MAX) // only the explicit flush submits
+            .build()
+            .unwrap();
+        pipeline.push_batch(head);
+        assert_eq!(pipeline.poll(), None, "fill-only: nothing is ever due");
+        assert_eq!(pipeline.stats().entries_processed, 0);
+        pipeline.flush();
+        assert_eq!(pipeline.pending(), 0);
+        let mut polls = 0;
+        while let Some(wait) = pipeline.poll() {
+            polls += 1;
+            assert!(polls < 10_000, "the pool never returned the chunk");
+            assert!(wait <= COLLECT_INTERVAL);
+            std::thread::sleep(wait);
+        }
+        let stats = pipeline.stats();
+        assert_eq!(stats.entries_processed, 300);
+        assert_eq!(stats.inflight_chunks, 0);
+        assert_eq!(stats.deadline_flushes, 0);
+        assert_eq!(count.load(std::sync::atomic::Ordering::Relaxed), expected);
+    }
+
+    #[test]
     fn stats_track_throughput_queue_depth_and_latency() {
         let log = generate(&ScenarioConfig::tiny(20)).unwrap();
         let mut pipeline = PipelineBuilder::new()
@@ -1796,6 +1972,8 @@ mod tests {
             .detector(Arcane::stock())
             .workers(2)
             .chunk_capacity(100)
+            // Pins a chunk count: fill-only.
+            .max_delay(Duration::MAX)
             .build()
             .unwrap();
         assert_eq!(pipeline.stats(), PipelineStats::default());
@@ -2043,6 +2221,8 @@ mod tests {
             // land only at chunk boundaries, never mid-chunk.
             .recalibration(RecalibrationPolicy::new().window(32).update_every(17))
             .chunk_capacity(chunk)
+            // Pins where the boundaries fall: fill-only.
+            .max_delay(Duration::MAX)
             .build()
             .unwrap();
         pipeline.push_batch(log.entries());

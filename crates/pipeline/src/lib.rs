@@ -17,7 +17,13 @@
 //!   one entry, [`push_batch`](Pipeline::push_batch) a slice,
 //!   [`push_line`](Pipeline::push_line) a raw log line — buffers it into
 //!   one chunk arena, and runs each chunk through every detector's
-//!   batched fast path ([`Detector::observe_batch_refs`]).
+//!   batched fast path ([`Detector::observe_batch_refs`]). A chunk ends
+//!   when the arena is full **or** its oldest entry has waited
+//!   [`max_delay`](PipelineBuilder::max_delay) (10 ms by default), so
+//!   alert latency is bounded by a deadline, not by how long a chunk
+//!   takes to fill; [`flush`](Pipeline::flush) and
+//!   [`poll`](Pipeline::poll) are the two primitives for callers that
+//!   want a boundary now, or own the clock a quiet stream needs.
 //! * With [`workers(n)`](PipelineBuilder::workers), the pipeline runs a
 //!   **persistent worker pool**: `n` long-lived threads, each owning its
 //!   own replica of every detector for the pipeline's lifetime. Chunks
@@ -133,6 +139,7 @@
 
 mod builder;
 mod engine;
+mod flush;
 mod mux;
 mod pool;
 mod record;
@@ -143,6 +150,7 @@ mod triage;
 
 pub use builder::{Adjudication, BuildError, DriftHook, LabelOracle, PipelineBuilder};
 pub use engine::{AppliedRuleUpdate, Pipeline, PipelineReport, RuleProvenance};
+pub use flush::DEFAULT_MAX_DELAY;
 pub use mux::{MuxCollector, MuxCollectorSink};
 pub use record::{AlertParseError, AlertRecord, ScoreRecord};
 pub use sink::{

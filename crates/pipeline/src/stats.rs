@@ -45,6 +45,11 @@ impl RuntimeUpdates {
 ///   high-water mark. Together with
 ///   [`entries_pending`](Self::entries_pending) (buffered + in-flight
 ///   entries) they bound the pipeline's working memory.
+/// * **Buffering latency** — [`deadline_flushes`](Self::deadline_flushes)
+///   counts the chunks the flush deadline ended early, and
+///   [`max_buffered_age_us`](Self::max_buffered_age_us) is the longest
+///   any entry waited in the ingest buffer before its chunk was
+///   submitted.
 /// * **Per-stage latency** — [`detect_busy`](Self::detect_busy) is summed
 ///   worker busy time across the pool (it can exceed wall-clock time when
 ///   several workers run in parallel);
@@ -146,4 +151,18 @@ pub struct PipelineStats {
     /// [`PipelineBuilder::on_drift`](crate::PipelineBuilder::on_drift).
     /// Zero without recalibration.
     pub drift_alarms: u64,
+    /// Chunks submitted because their oldest entry had waited
+    /// [`max_delay`](crate::PipelineBuilder::max_delay) — not because
+    /// the buffer filled or a caller asked (`flush`, `drain`, `set_*`).
+    /// Next to [`chunks_processed`](Self::chunks_processed) it says
+    /// which regime the pipeline runs in: near zero at saturation, near
+    /// every chunk at a trickle.
+    pub deadline_flushes: u64,
+    /// High-water age, in microseconds, of a chunk's oldest entry at
+    /// the moment the chunk was submitted — how long buffering has made
+    /// an entry wait at worst. Stays near `max_delay` while something
+    /// checks the deadline (pushes, or a driver calling
+    /// [`Pipeline::poll`](crate::Pipeline::poll)); a value far above it
+    /// means a stream went quiet with nobody polling.
+    pub max_buffered_age_us: u64,
 }

@@ -107,6 +107,9 @@ struct Departed {
     triage_replayed: u64,
     triage_spilled: u64,
     drift_alarms: u64,
+    deadline_flushes: u64,
+    /// A high-water mark, so departed shards fold in by `max`.
+    max_buffered_age_us: u64,
 }
 
 struct TenantRuntime {
@@ -634,6 +637,10 @@ impl ServicePlane {
                 parting.triage_replayed += fin.stats.triage_replayed_entries;
                 parting.triage_spilled += fin.stats.triage_spilled_entries;
                 parting.drift_alarms += fin.stats.drift_alarms;
+                parting.deadline_flushes += fin.stats.deadline_flushes;
+                parting.max_buffered_age_us = parting
+                    .max_buffered_age_us
+                    .max(fin.stats.max_buffered_age_us);
                 reports.push(fin.report);
             }
         }
@@ -649,6 +656,10 @@ impl ServicePlane {
             departed.triage_replayed += parting.triage_replayed;
             departed.triage_spilled += parting.triage_spilled;
             departed.drift_alarms += parting.drift_alarms;
+            departed.deadline_flushes += parting.deadline_flushes;
+            departed.max_buffered_age_us = departed
+                .max_buffered_age_us
+                .max(parting.max_buffered_age_us);
         }
         self.rebalance_eviction();
         Some(reports)
@@ -917,6 +928,12 @@ impl ServicePlane {
                 + live(&|s| s.triage_replayed_entries),
             triage_spilled_entries: departed.triage_spilled + live(&|s| s.triage_spilled_entries),
             drift_alarms: departed.drift_alarms + live(&|s| s.drift_alarms),
+            deadline_flushes: departed.deadline_flushes + live(&|s| s.deadline_flushes),
+            max_buffered_age_us: tenants
+                .iter()
+                .flat_map(|t| t.shards.iter())
+                .map(|s| s.max_buffered_age_us)
+                .fold(departed.max_buffered_age_us, u64::max),
             routed_lines: self.shared.routing.routed.load(Ordering::Relaxed),
             dropped_lines: self.shared.routing.dropped.load(Ordering::Relaxed),
             unrouted_lines: self.shared.routing.unrouted.load(Ordering::Relaxed),
@@ -1158,6 +1175,17 @@ pub struct ServiceStats {
     /// recalibration). See
     /// [`PipelineStats::drift_alarms`](divscrape_pipeline::PipelineStats::drift_alarms).
     pub drift_alarms: u64,
+    /// Chunks a shard pipeline submitted because their oldest entry
+    /// reached the flush deadline, departed tenants included —
+    /// monotonic. See
+    /// [`PipelineStats::deadline_flushes`](divscrape_pipeline::PipelineStats::deadline_flushes).
+    pub deadline_flushes: u64,
+    /// The longest any entry waited in a shard pipeline's ingest buffer
+    /// before its chunk was submitted, in microseconds — the maximum
+    /// over every shard, departed tenants included, so it never falls.
+    /// See
+    /// [`PipelineStats::max_buffered_age_us`](divscrape_pipeline::PipelineStats::max_buffered_age_us).
+    pub max_buffered_age_us: u64,
     /// Lines accepted onto a shard queue.
     pub routed_lines: u64,
     /// Lines dropped by the lossy path because the owning shard's queue
@@ -1224,6 +1252,10 @@ impl ServiceStats {
         push_field(&mut out, "spilled", self.triage_spilled_entries);
         out.push_str("},");
         push_field(&mut out, "drift_alarms", self.drift_alarms);
+        out.push(',');
+        push_field(&mut out, "deadline_flushes", self.deadline_flushes);
+        out.push(',');
+        push_field(&mut out, "max_buffered_age_us", self.max_buffered_age_us);
         out.push_str(",\"tenants\":[");
         for (i, tenant) in self.tenants.iter().enumerate() {
             if i > 0 {

@@ -15,8 +15,9 @@ use std::time::Duration;
 
 use divscrape_pipeline::{Pipeline, PipelineReport, PipelineStats};
 
-/// How long a shard driver waits for input before ticking (publishing
-/// stats).
+/// The longest a shard driver parks waiting for input before ticking
+/// (publishing stats). It parks for less while its pipeline holds
+/// entries that are coming due — see [`park_for`].
 const TICK: Duration = Duration::from_millis(25);
 
 /// Lines between stats publications while input is flowing.
@@ -394,13 +395,24 @@ fn publish(pipeline: &Pipeline, parse_errors: u64, board: &Mutex<ShardPublished>
     slot.parse_errors = parse_errors;
 }
 
+/// The pipeline's clock tick, and how long the driver may park after
+/// it: until the buffered entries' flush deadline or the pool's next
+/// collection, never longer than [`TICK`]. This is what delivers a
+/// tenant's last lines when its traffic stops — no later line will push
+/// them out.
+fn park_for(pipeline: &mut Pipeline) -> Duration {
+    pipeline.poll().map_or(TICK, |due| due.min(TICK))
+}
+
 fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<ShardPublished>>) {
     let _close = CloseOnExit(&queue);
     let mut batch = Batch::default();
     let mut parse_errors = 0u64;
     let mut since_publish = 0u64;
+    let mut park = TICK;
     loop {
-        if !queue.take(&mut batch, TICK) {
+        if !queue.take(&mut batch, park) {
+            park = park_for(&mut pipeline);
             publish(&pipeline, parse_errors, &board);
             since_publish = 0;
             continue;
@@ -442,6 +454,7 @@ fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<Sh
             }
         }
         batch.recycle();
+        park = park_for(&mut pipeline);
         if since_publish >= PUBLISH_EVERY {
             publish(&pipeline, parse_errors, &board);
             since_publish = 0;

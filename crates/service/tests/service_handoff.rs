@@ -3,8 +3,9 @@
 //! on when every line was a channel message must still hold — exact
 //! counts across the `queue_depth` boundary, lossy offers that drop only
 //! while the queue is full, per-producer order under contention, stale
-//! handles that report the tenant gone, and a clean exit when the plane
-//! is simply dropped.
+//! handles that report the tenant gone, a clean exit when the plane
+//! is simply dropped — and, since the driver parks on this queue, that a
+//! tenant whose traffic stops still has its last lines adjudicated.
 //!
 //! Every interleaving is forced with a gate, a barrier or a blocking
 //! call; nothing here sleeps.
@@ -248,6 +249,44 @@ fn a_stale_ingress_reports_the_tenant_gone() {
     assert_eq!(plane.stats().unrouted_lines, 2);
 }
 
+#[test]
+fn a_tenant_that_goes_quiet_still_gets_its_alerts() {
+    // Ten lines, then nothing: no drain, no leave, no further traffic to
+    // push them out, and nowhere near a full chunk. The driver's park on
+    // the queue is the only clock, so it must tick the pipeline's flush
+    // deadline.
+    let shop = TenantId::new("shop");
+    let (alert_tx, alert_rx) = std::sync::mpsc::channel::<u64>();
+    let alert_tx = Mutex::new(alert_tx);
+    let plane = ServicePlane::builder()
+        .tenant(shop.clone(), 1, move |_, _| {
+            let alert_tx = alert_tx.lock().unwrap().clone();
+            alert_on_all().sink(move |alert: &Alert<'_>| {
+                let _ = alert_tx.send(alert.index);
+            })
+        })
+        .build()
+        .unwrap();
+    for seq in 0..10 {
+        assert_eq!(plane.ingest(&shop, line(0, seq)), IngestOutcome::Routed);
+    }
+    let delivered: Vec<u64> = (0..10)
+        .map(|_| {
+            alert_rx
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .expect("a quiet tenant's alerts must arrive within the second")
+        })
+        .collect();
+    assert_eq!(delivered, (0..10).collect::<Vec<_>>());
+
+    // The deadline submitted them, and the count survives the tenant.
+    let reports = plane.leave(&shop).unwrap();
+    assert_eq!(reports[0].requests(), 10);
+    let stats = plane.stats();
+    assert!(stats.deadline_flushes >= 1);
+    assert!(stats.max_buffered_age_us > 0);
+}
+
 /// Counts what it is shown and records being flushed and dropped.
 struct WitnessSink {
     alerts: Arc<AtomicU64>,
@@ -292,7 +331,8 @@ fn dropping_the_plane_without_shutdown_flushes_and_joins() {
         })
         .build()
         .unwrap();
-    // Far short of a chunk: only a final drain delivers these.
+    // Far short of a chunk: the final drain delivers these (unless the
+    // flush deadline got to them first).
     for seq in 0..3 {
         assert_eq!(plane.ingest(&shop, line(0, seq)), IngestOutcome::Routed);
     }

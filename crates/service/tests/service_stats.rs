@@ -61,6 +61,18 @@ fn assert_monotonic(earlier: &ServiceStats, later: &ServiceStats, step: &str) {
         later.triage_spilled_entries >= earlier.triage_spilled_entries,
         "{step}: triage_spilled_entries regressed"
     );
+    assert!(
+        later.deadline_flushes >= earlier.deadline_flushes,
+        "{step}: deadline_flushes regressed {} -> {}",
+        earlier.deadline_flushes,
+        later.deadline_flushes
+    );
+    assert!(
+        later.max_buffered_age_us >= earlier.max_buffered_age_us,
+        "{step}: max_buffered_age_us is a high-water mark and fell {} -> {}",
+        earlier.max_buffered_age_us,
+        later.max_buffered_age_us
+    );
 }
 
 #[test]
@@ -128,6 +140,21 @@ fn aggregates_stay_monotonic_across_shard_merge_and_tenant_departure() {
         "global budget install must register as runtime updates"
     );
     assert_eq!(s1.eviction_budget, Some(500));
+    // The flush counters merge like the rest: a sum and a maximum over
+    // the shard snapshots.
+    let shards = || s1.tenants.iter().flat_map(|t| t.shards.iter());
+    assert_eq!(
+        s1.deadline_flushes,
+        shards().map(|s| s.deadline_flushes).sum::<u64>()
+    );
+    assert_eq!(
+        s1.max_buffered_age_us,
+        shards().map(|s| s.max_buffered_age_us).max().unwrap()
+    );
+    assert!(
+        s1.max_buffered_age_us > 0,
+        "every shard buffered something before its first submission"
+    );
 
     // Tenant departure: the eu tenant leaves mid-service. Its work must
     // stay in the aggregates (folded departed totals).
@@ -184,5 +211,9 @@ fn aggregates_stay_monotonic_across_shard_merge_and_tenant_departure() {
         s4.triage_suppressed_entries,
         s4.triage_replayed_entries,
         s4.triage_spilled_entries
+    )));
+    assert!(json.contains(&format!(
+        "\"deadline_flushes\":{},\"max_buffered_age_us\":{}",
+        s4.deadline_flushes, s4.max_buffered_age_us
     )));
 }

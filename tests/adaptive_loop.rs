@@ -13,9 +13,11 @@
 //!   recorded schedule ([`Pipeline::rule_updates`], now carrying
 //!   [`RuleProvenance`]) reproduces the run exactly through manual
 //!   [`Pipeline::set_adjudication`] calls with all learning off, for
-//!   workers {1, 4} × eviction {off, TTL+capacity} and a different
-//!   chunk geometry. Threshold learning is therefore a pure,
-//!   position-deterministic rule swap like weight learning before it.
+//!   workers {1, 4} × eviction {off, TTL+capacity} × the live run
+//!   {filling its chunks, flushed on a seeded random schedule} and a
+//!   different chunk geometry. Threshold learning is therefore a pure,
+//!   position-deterministic rule swap like weight learning before it,
+//!   wherever the flush timing made it land.
 //! * **Drift alarms** — the recalibrator's support tracking surfaces a
 //!   population shift as a [`DriftAlarm`]: it fires on the
 //!   [`DriftScenario::scraper_population_shift`] preset (on the member
@@ -23,6 +25,8 @@
 //!   on a stationary log of equal length, and the counts flow through
 //!   [`PipelineStats`] into the service plane's [`ServiceStats`] and
 //!   STATS JSON.
+
+mod common;
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -242,55 +246,67 @@ fn learned_threshold_replay_is_bit_identical() {
     ];
     for workers in [1usize, 4] {
         for (evlabel, eviction) in evictions {
-            let case = format!("workers={workers} eviction={evlabel}");
+            // The live run either fills its chunks or is flushed on a
+            // seeded random schedule; its recorded schedule must replay
+            // bit for bit either way.
+            for flush_seed in [None, Some(0x5EED_u64)] {
+                let case = format!(
+                    "workers={workers} eviction={evlabel} flushed={}",
+                    flush_seed.is_some()
+                );
 
-            let mut live = adaptive_stack()
-                .workers(workers)
-                .eviction(eviction)
-                .build()
-                .unwrap();
-            for chunk in log.entries().chunks(613) {
-                live.push_batch(chunk);
-            }
-            let live_report = live.drain();
-            let schedule = live.rule_updates().to_vec();
-            assert!(
-                schedule
-                    .iter()
-                    .any(|u| u.provenance == RuleProvenance::LearnedThreshold),
-                "{case}: the adaptive log must drive threshold installs"
-            );
-
-            let mut replay = trio()
-                .workers(workers)
-                .eviction(eviction)
-                .chunk_capacity(101)
-                .build()
-                .unwrap();
-            let mut pos = 0usize;
-            for update in &schedule {
-                replay.push_batch(&log.entries()[pos..update.at_entry as usize]);
-                replay
-                    .set_adjudication(Adjudication::weighted(
-                        update.weights.clone(),
-                        update.threshold,
-                    ))
+                let mut live = adaptive_stack()
+                    .workers(workers)
+                    .eviction(eviction)
+                    .build()
                     .unwrap();
-                pos = update.at_entry as usize;
-            }
-            replay.push_batch(&log.entries()[pos..]);
-            let replay_report = replay.drain();
+                common::feed_live(&mut live, log.entries(), flush_seed);
+                let live_report = live.drain();
+                let schedule = live.rule_updates().to_vec();
+                if flush_seed.is_some() {
+                    assert!(
+                        schedule.iter().any(|u| !u.at_entry.is_multiple_of(256)),
+                        "{case}: the flush schedule must move where installs land"
+                    );
+                }
+                assert!(
+                    schedule
+                        .iter()
+                        .any(|u| u.provenance == RuleProvenance::LearnedThreshold),
+                    "{case}: the adaptive log must drive threshold installs"
+                );
 
-            assert_identical(&case, &replay_report, &live_report);
-            // Same installs at the same positions; only the provenance
-            // differs (the replay applied them manually).
-            let replayed = replay.rule_updates();
-            assert_eq!(replayed.len(), schedule.len(), "{case}");
-            for (got, want) in replayed.iter().zip(&schedule) {
-                assert_eq!(got.at_entry, want.at_entry, "{case}");
-                assert_eq!(got.weights, want.weights, "{case}");
-                assert_eq!(got.threshold, want.threshold, "{case}");
-                assert_eq!(got.provenance, RuleProvenance::Manual, "{case}");
+                let mut replay = trio()
+                    .workers(workers)
+                    .eviction(eviction)
+                    .chunk_capacity(101)
+                    .build()
+                    .unwrap();
+                let mut pos = 0usize;
+                for update in &schedule {
+                    replay.push_batch(&log.entries()[pos..update.at_entry as usize]);
+                    replay
+                        .set_adjudication(Adjudication::weighted(
+                            update.weights.clone(),
+                            update.threshold,
+                        ))
+                        .unwrap();
+                    pos = update.at_entry as usize;
+                }
+                replay.push_batch(&log.entries()[pos..]);
+                let replay_report = replay.drain();
+
+                assert_identical(&case, &replay_report, &live_report);
+                // Same installs at the same positions; only the provenance
+                // differs (the replay applied them manually).
+                let replayed = replay.rule_updates();
+                assert_eq!(replayed.len(), schedule.len(), "{case}");
+                for (got, want) in replayed.iter().zip(&schedule) {
+                    assert_eq!(got.at_entry, want.at_entry, "{case}");
+                    assert_eq!(got.weights, want.weights, "{case}");
+                    assert_eq!(got.threshold, want.threshold, "{case}");
+                    assert_eq!(got.provenance, RuleProvenance::Manual, "{case}");
+                }
             }
         }
     }

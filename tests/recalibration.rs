@@ -8,9 +8,11 @@
 //!   manual [`Pipeline::set_adjudication`] calls at the recorded
 //!   feed-order positions, with recalibration off, reproduces the live
 //!   run **bit-identically** (combined + members), for workers {1, 4} ×
-//!   eviction {off, TTL+capacity} and a different chunk geometry. Weight
-//!   updates are therefore pure, position-deterministic rule swaps — no
-//!   hidden coupling to pool scheduling or chunk boundaries.
+//!   eviction {off, TTL+capacity} × the live run {filling its chunks,
+//!   flushed on a seeded random schedule} and a different chunk
+//!   geometry. *Where* a live learner's updates land moves with the
+//!   flush timing; each one is still a pure, position-deterministic rule
+//!   swap — no hidden coupling to pool scheduling or chunk boundaries.
 //! * **The drift scenario** — on a stream whose scraper population
 //!   shifts mid-way ([`DriftScenario::scraper_population_shift`]), a
 //!   frozen weighted rule carrying a noisy rate-threshold member loses
@@ -23,6 +25,8 @@
 //! requested mid-chunk (they apply at chunk finalization, never inside a
 //! chunk — `crates/pipeline` engine tests pin the same property at the
 //! unit level).
+
+mod common;
 
 use divscrape_detect::baselines::RateLimiter;
 use divscrape_detect::{run_alerts, Arcane, Detector, EvictionConfig, Sentinel};
@@ -81,61 +85,73 @@ fn recorded_schedule_replay_is_bit_identical() {
     ];
     for workers in [1usize, 4] {
         for (evlabel, eviction) in evictions {
-            let case = format!("workers={workers} eviction={evlabel}");
+            // The live run either fills its chunks or is flushed on a
+            // seeded random schedule; its recorded schedule must replay
+            // bit for bit either way.
+            for flush_seed in [None, Some(0x5EED_u64)] {
+                let case = format!(
+                    "workers={workers} eviction={evlabel} flushed={}",
+                    flush_seed.is_some()
+                );
 
-            let mut live = noisy_trio()
-                .workers(workers)
-                .eviction(eviction)
-                .recalibration(policy())
-                .build()
-                .unwrap();
-            for chunk in log.entries().chunks(613) {
-                live.push_batch(chunk);
-            }
-            let live_report = live.drain();
-            let schedule = live.rule_updates().to_vec();
-            assert!(
-                schedule.len() >= 3,
-                "{case}: the drift stream must drive several updates, got {}",
-                schedule.len()
-            );
-
-            // Replay: no recalibrator, a different chunk geometry and
-            // push granularity, the recorded updates applied manually at
-            // their positions.
-            let mut replay = noisy_trio()
-                .workers(workers)
-                .eviction(eviction)
-                .chunk_capacity(101)
-                .build()
-                .unwrap();
-            let mut pos = 0usize;
-            for update in &schedule {
-                replay.push_batch(&log.entries()[pos..update.at_entry as usize]);
-                replay
-                    .set_adjudication(Adjudication::weighted(
-                        update.weights.clone(),
-                        update.threshold,
-                    ))
+                let mut live = noisy_trio()
+                    .workers(workers)
+                    .eviction(eviction)
+                    .recalibration(policy())
+                    .build()
                     .unwrap();
-                pos = update.at_entry as usize;
-            }
-            replay.push_batch(&log.entries()[pos..]);
-            let replay_report = replay.drain();
+                common::feed_live(&mut live, log.entries(), flush_seed);
+                let live_report = live.drain();
+                let schedule = live.rule_updates().to_vec();
+                if flush_seed.is_some() {
+                    assert!(
+                        schedule.iter().any(|u| !u.at_entry.is_multiple_of(256)),
+                        "{case}: the flush schedule must move where installs land"
+                    );
+                }
+                assert!(
+                    schedule.len() >= 3,
+                    "{case}: the drift stream must drive several updates, got {}",
+                    schedule.len()
+                );
 
-            assert_identical(&case, &replay_report, &live_report);
-            // The replay's own recorded schedule is the one it was fed:
-            // same positions, same parameters. Provenance differs by
-            // design — the live records are learned, the replay applied
-            // them manually — so compare the rule content field-wise.
-            let replayed = replay.rule_updates();
-            assert_eq!(replayed.len(), schedule.len(), "{case}");
-            for (got, want) in replayed.iter().zip(&schedule) {
-                assert_eq!(got.at_entry, want.at_entry, "{case}");
-                assert_eq!(got.weights, want.weights, "{case}");
-                assert_eq!(got.threshold, want.threshold, "{case}");
-                assert_eq!(got.provenance, RuleProvenance::Manual, "{case}");
-                assert_eq!(want.provenance, RuleProvenance::LearnedWeights, "{case}");
+                // Replay: no recalibrator, a different chunk geometry and
+                // push granularity, the recorded updates applied manually at
+                // their positions.
+                let mut replay = noisy_trio()
+                    .workers(workers)
+                    .eviction(eviction)
+                    .chunk_capacity(101)
+                    .build()
+                    .unwrap();
+                let mut pos = 0usize;
+                for update in &schedule {
+                    replay.push_batch(&log.entries()[pos..update.at_entry as usize]);
+                    replay
+                        .set_adjudication(Adjudication::weighted(
+                            update.weights.clone(),
+                            update.threshold,
+                        ))
+                        .unwrap();
+                    pos = update.at_entry as usize;
+                }
+                replay.push_batch(&log.entries()[pos..]);
+                let replay_report = replay.drain();
+
+                assert_identical(&case, &replay_report, &live_report);
+                // The replay's own recorded schedule is the one it was fed:
+                // same positions, same parameters. Provenance differs by
+                // design — the live records are learned, the replay applied
+                // them manually — so compare the rule content field-wise.
+                let replayed = replay.rule_updates();
+                assert_eq!(replayed.len(), schedule.len(), "{case}");
+                for (got, want) in replayed.iter().zip(&schedule) {
+                    assert_eq!(got.at_entry, want.at_entry, "{case}");
+                    assert_eq!(got.weights, want.weights, "{case}");
+                    assert_eq!(got.threshold, want.threshold, "{case}");
+                    assert_eq!(got.provenance, RuleProvenance::Manual, "{case}");
+                    assert_eq!(want.provenance, RuleProvenance::LearnedWeights, "{case}");
+                }
             }
         }
     }

@@ -143,6 +143,8 @@ fn warm_pass_allocations(builder: PipelineBuilder, lines: &[String]) -> u64 {
         .adjudication(Adjudication::k_of_n(1))
         .workers(1)
         .chunk_capacity(CHUNK)
+        // A per-chunk budget needs a known chunk count: fill-only.
+        .max_delay(std::time::Duration::MAX)
         .build()
         .unwrap();
     for _ in 0..2 {

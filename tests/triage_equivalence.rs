@@ -18,6 +18,8 @@
 //! buffered history (counted, recall-bounded) but never changes who
 //! escalates.
 
+mod common;
+
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
@@ -181,50 +183,6 @@ fn stock_triage_is_bit_identical_to_triage_off_in_the_no_spill_regime() {
     }
 }
 
-/// A deliberately weak filter: escalates every client only at its N-th
-/// request, regardless of behaviour — so suppressed entries routinely
-/// carry verdicts that would have alerted, exercising the late
-/// re-scoring path that stock triage provably never needs.
-#[derive(Debug, Clone)]
-struct SlowFuse {
-    after: u64,
-    counts: HashMap<(Ipv4Addr, u64), u64>,
-}
-
-impl SlowFuse {
-    fn new(after: u64) -> Self {
-        Self {
-            after,
-            counts: HashMap::new(),
-        }
-    }
-}
-
-impl TriageFilter for SlowFuse {
-    fn name(&self) -> &str {
-        "slow-fuse"
-    }
-    fn classify(&mut self, entry: &EntryRef<'_>) -> TriageDecision {
-        let seen = self.counts.entry(entry.client_key()).or_insert(0);
-        *seen += 1;
-        match (*seen).cmp(&self.after) {
-            std::cmp::Ordering::Less => TriageDecision::Benign,
-            std::cmp::Ordering::Equal => TriageDecision::Escalate,
-            std::cmp::Ordering::Greater => TriageDecision::Escalated,
-        }
-    }
-    fn reset(&mut self) {
-        self.counts.clear();
-    }
-    fn set_eviction(&mut self, _cfg: EvictionConfig) {}
-    fn eviction_stats(&self) -> EvictionStats {
-        EvictionStats::default()
-    }
-    fn clone_boxed(&self) -> Box<dyn TriageFilter> {
-        Box::new(SlowFuse::new(self.after))
-    }
-}
-
 #[test]
 fn weak_custom_filter_keeps_the_drain_report_identical_with_late_alerts() {
     let log = generate(&ScenarioConfig::tiny(77)).unwrap();
@@ -237,7 +195,7 @@ fn weak_custom_filter_keeps_the_drain_report_identical_with_late_alerts() {
             entries,
             workers,
             None,
-            Some(TriagePolicy::custom(SlowFuse::new(12))),
+            Some(TriagePolicy::custom(common::SlowFuse::new(12))),
             Feed::PushBatch,
         );
         // The report is patched from the replayed history: bit-identical

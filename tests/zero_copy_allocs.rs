@@ -58,6 +58,8 @@ fn assert_warm_pass_is_sub_per_entry(what: &str, builder: PipelineBuilder, lines
         .adjudication(Adjudication::k_of_n(1))
         .workers(1)
         .chunk_capacity(CHUNK)
+        // A per-chunk budget needs a known chunk count: fill-only.
+        .max_delay(std::time::Duration::MAX)
         .build()
         .unwrap();
 

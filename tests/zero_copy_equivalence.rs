@@ -11,6 +11,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use divscrape_detect::baselines::{RateLimiter, SignatureOnly};
 use divscrape_detect::{Arcane, EvictionConfig, Sentinel, TrapDetector};
@@ -44,6 +45,16 @@ fn build_pipeline(
     workers: usize,
     eviction: Option<EvictionConfig>,
 ) -> (Pipeline, Arc<Mutex<Vec<String>>>) {
+    let (builder, jsons) = compose(members, workers, eviction);
+    (builder.build().unwrap(), jsons)
+}
+
+/// [`build_pipeline`], one step short of `build`.
+fn compose(
+    members: Members,
+    workers: usize,
+    eviction: Option<EvictionConfig>,
+) -> (PipelineBuilder, Arc<Mutex<Vec<String>>>) {
     let jsons: Arc<Mutex<Vec<String>>> = Arc::default();
     let sink_jsons = Arc::clone(&jsons);
     let mut builder = PipelineBuilder::new()
@@ -69,7 +80,7 @@ fn build_pipeline(
     if let Some(eviction) = eviction {
         builder = builder.eviction(eviction);
     }
-    (builder.build().unwrap(), jsons)
+    (builder, jsons)
 }
 
 /// The reference: entries parsed up front and fed through `push_batch`.
@@ -268,7 +279,10 @@ fn mixed_owned_and_borrowed_feeding_preserves_order_and_verdicts() {
     let entries = log.entries();
     let want = run_push_batch(Members::Spine2, entries, 2, None);
 
-    let (mut pipeline, jsons) = build_pipeline(Members::Spine2, 2, None);
+    // Fill-only: the chunk count below is a pure function of the pushes
+    // only when no deadline can end a chunk early.
+    let (builder, jsons) = compose(Members::Spine2, 2, None);
+    let mut pipeline = builder.max_delay(Duration::MAX).build().unwrap();
     for (i, chunk) in entries.chunks(61).enumerate() {
         match i % 3 {
             0 => pipeline.push_batch(chunk),
