@@ -139,6 +139,7 @@
 
 mod builder;
 mod engine;
+mod finalize;
 mod flush;
 mod mux;
 mod pool;
