@@ -187,15 +187,108 @@ impl AlertVector {
         }
     }
 
-    /// Iterates over the indices of alerted requests.
+    /// Iterates over the indices of alerted requests, in increasing
+    /// order — a word at a time, so a quiet stretch costs one test per
+    /// 64 requests.
     pub fn iter_alerted(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(|&i| self.get(i))
+        set_bits(&self.words)
     }
 
     /// Materialises the flags.
     pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
+        let mut flags = vec![false; self.len];
+        for i in self.iter_alerted() {
+            flags[i] = true;
+        }
+        flags
     }
+
+    /// Adds `other`'s alerts to this vector's own, in place ([`or`](Self::or)
+    /// without a new vector or name).
+    ///
+    /// # Panics
+    ///
+    /// Panics when lengths differ.
+    pub fn union_with(&mut self, other: &Self) {
+        assert_eq!(
+            self.len, other.len,
+            "alert vectors cover different logs ({} vs {})",
+            self.len, other.len
+        );
+        for (word, more) in self.words.iter_mut().zip(&other.words) {
+            *word |= more;
+        }
+    }
+
+    /// Sets whether request `i` was alerted.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= len()`.
+    pub fn set(&mut self, i: usize, alerted: bool) {
+        assert!(i < self.len, "index {i} out of range {}", self.len);
+        let bit = 1u64 << (i % 64);
+        if alerted {
+            self.words[i / 64] |= bit;
+        } else {
+            self.words[i / 64] &= !bit;
+        }
+    }
+
+    /// Replaces the flags in place, keeping the name and the word
+    /// buffer's capacity — a per-chunk scratch vector is refilled, not
+    /// rebuilt.
+    pub fn refill(&mut self, flags: impl IntoIterator<Item = bool>) {
+        self.words.clear();
+        self.len = 0;
+        for flag in flags {
+            if self.len.is_multiple_of(64) {
+                self.words.push(0);
+            }
+            *self.words.last_mut().expect("a word was just pushed") |=
+                u64::from(flag) << (self.len % 64);
+            self.len += 1;
+        }
+    }
+
+    /// Moves the flags out, leaving an empty vector of the same name.
+    #[must_use]
+    pub fn take(&mut self) -> Self {
+        let empty = Self::empty(self.name.as_str(), 0);
+        std::mem::replace(self, empty)
+    }
+
+    /// Appends `other`'s requests after this vector's own (the name is
+    /// kept): `other`'s words are shifted in at this vector's bit
+    /// length, which need not be a multiple of 64.
+    pub fn append(&mut self, other: &Self) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &word in &other.words {
+                *self.words.last_mut().expect("a partial last word") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
+    }
+}
+
+/// The indices of the set bits of `words`, in increasing order (bit
+/// `i % 64` of word `i / 64` is index `i`).
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 impl fmt::Display for AlertVector {
@@ -268,7 +361,83 @@ mod tests {
         assert!(s.contains("distil") && s.contains("1 of 2"));
     }
 
+    /// Lengths on both sides of a word boundary, and past one chunk.
+    const EDGE_LENS: [usize; 7] = [0, 1, 63, 64, 65, 4_096, 4_097];
+
+    /// `len` flags: a seeded xorshift fill at roughly `density`/8.
+    fn fill(len: usize, seed: u64, density: u64) -> Vec<bool> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % 8 < density
+            })
+            .collect()
+    }
+
+    /// Every word-level view of `v` against the naive per-flag
+    /// definition, including that no bit beyond `len` is set.
+    fn assert_matches_naive(v: &AlertVector, flags: &[bool]) {
+        assert_eq!(v.len(), flags.len());
+        let alerted: Vec<usize> = (0..flags.len()).filter(|&i| flags[i]).collect();
+        assert_eq!(v.iter_alerted().collect::<Vec<_>>(), alerted);
+        assert_eq!(v.to_bools(), flags);
+        assert_eq!(v.count() as usize, alerted.len());
+        assert_eq!(v, &AlertVector::from_bools(v.name(), flags), "tail bits");
+    }
+
     proptest! {
+        // The word walks equal the naive definition at every edge
+        // length and fill density (0 = all clear, 8 = all set).
+        #[test]
+        fn word_walks_match_the_naive_definition(seed in any::<u64>(), density in 0u64..9) {
+            for len in EDGE_LENS {
+                let flags = fill(len, seed, density);
+                assert_matches_naive(&AlertVector::from_bools("t", &flags), &flags);
+                // A refilled scratch forgets its previous, longer fill.
+                let mut scratch = AlertVector::from_bools("t", &fill(len + 70, !seed, 8));
+                scratch.refill(flags.iter().copied());
+                assert_matches_naive(&scratch, &flags);
+            }
+        }
+
+        // Appending at a bit offset equals concatenating the flags, for
+        // every pairing of edge lengths (offsets that are and are not
+        // multiples of 64), and a patched bit lands where it was aimed.
+        #[test]
+        fn append_and_set_match_the_naive_definition(
+            seed in any::<u64>(),
+            density in 0u64..9,
+            pick in any::<usize>(),
+        ) {
+            for head in EDGE_LENS {
+                for tail in EDGE_LENS {
+                    let mut flags = fill(head, seed, density);
+                    let mut v = AlertVector::from_bools("t", &flags);
+                    let more = fill(tail, seed.rotate_left(17), 8 - density.min(8));
+                    v.append(&AlertVector::from_bools("more", &more));
+                    flags.extend_from_slice(&more);
+                    assert_matches_naive(&v, &flags);
+                    let other = fill(flags.len(), !seed, 8 - density.min(8));
+                    v.union_with(&AlertVector::from_bools("other", &other));
+                    for (flag, more) in flags.iter_mut().zip(&other) {
+                        *flag |= more;
+                    }
+                    assert_matches_naive(&v, &flags);
+                    if !flags.is_empty() {
+                        let at = pick % flags.len();
+                        v.set(at, flags[at]);
+                        assert_eq!(v.get(at), flags[at], "a no-op set changed bit {at}");
+                        flags[at] = !flags[at];
+                        v.set(at, flags[at]);
+                        assert_matches_naive(&v, &flags);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn set_algebra_laws(flags_a in proptest::collection::vec(any::<bool>(), 0..300),
                             flags_b in proptest::collection::vec(any::<bool>(), 0..300)) {

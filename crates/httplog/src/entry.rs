@@ -488,21 +488,75 @@ fn parse_request_parts(raw: &str) -> Option<(crate::HttpMethod, &str, crate::Htt
 
 fn parse_line(line: &str) -> Result<LogEntry, ParseLogError> {
     let parts = parse_parts(line.trim_end_matches(['\r', '\n']))?;
-    Ok(LogEntry {
-        addr: parts.addr,
-        ident: parts.ident.map(str::to_owned),
-        user: parts.user.map(str::to_owned),
-        timestamp: parts.timestamp,
-        request: RequestLine::new(
-            parts.method,
-            crate::RequestPath::parse(parts.target),
-            parts.version,
-        ),
-        status: parts.status,
-        bytes: parts.bytes,
-        referrer: parts.referrer.map(str::to_owned),
-        user_agent: UserAgent::new(parts.ua),
-    })
+    let mut entry = LogEntry::blank();
+    entry.refill(&parts);
+    Ok(entry)
+}
+
+impl LogEntry {
+    /// An entry holding no text and no heap buffer — what
+    /// [`refill`](Self::refill) starts from. Not a valid record (its
+    /// empty target does not re-parse), so it never leaves the crate
+    /// unfilled.
+    pub(crate) fn blank() -> Self {
+        LogEntry {
+            addr: Ipv4Addr::UNSPECIFIED,
+            ident: None,
+            user: None,
+            timestamp: ClfTimestamp::PAPER_WINDOW_START,
+            request: RequestLine::new(
+                crate::HttpMethod::Get,
+                crate::RequestPath::parse(""),
+                crate::HttpVersion::Http11,
+            ),
+            status: HttpStatus::OK,
+            bytes: None,
+            referrer: None,
+            user_agent: UserAgent::empty(),
+        }
+    }
+
+    /// Overwrites **every** field from parsed parts — the one place an
+    /// owned entry is assembled, shared by [`LogEntry::parse`] (from a
+    /// blank entry) and [`EntryBlock::fill_entry`](crate::EntryBlock::fill_entry)
+    /// (over the previous entry of a reused slot, whose `String` buffers
+    /// are kept). The destructuring is exhaustive on purpose: a field
+    /// added to `LogEntry` and not assigned here would survive from one
+    /// entry of a reused slot into the next.
+    pub(crate) fn refill(&mut self, parts: &RawParts<'_>) {
+        let LogEntry {
+            addr,
+            ident,
+            user,
+            timestamp,
+            request,
+            status,
+            bytes,
+            referrer,
+            user_agent,
+        } = self;
+        *addr = parts.addr;
+        set_text(ident, parts.ident);
+        set_text(user, parts.user);
+        *timestamp = parts.timestamp;
+        request.set(parts.method, parts.target, parts.version);
+        *status = parts.status;
+        *bytes = parts.bytes;
+        set_text(referrer, parts.referrer);
+        user_agent.set(parts.ua);
+    }
+}
+
+/// Overwrites an optional text field, reusing its buffer when it stays
+/// present.
+fn set_text(slot: &mut Option<String>, value: Option<&str>) {
+    match (slot.as_mut(), value) {
+        (Some(text), Some(value)) => {
+            text.clear();
+            text.push_str(value);
+        }
+        _ => *slot = value.map(str::to_owned),
+    }
 }
 
 #[cfg(test)]

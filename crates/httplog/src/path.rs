@@ -195,11 +195,19 @@ impl RequestPath {
     /// verbatim (real access logs contain plenty), classified as
     /// [`ResourceClass::Other`] or [`ResourceClass::Probe`] as appropriate.
     pub fn parse(raw: &str) -> Self {
-        let query_start = raw.find('?');
-        Self {
-            raw: raw.to_owned(),
-            query_start,
-        }
+        let mut path = Self {
+            raw: String::new(),
+            query_start: None,
+        };
+        path.set(raw);
+        path
+    }
+
+    /// Re-parses `raw` into this value, reusing its text buffer.
+    pub(crate) fn set(&mut self, raw: &str) {
+        self.raw.clear();
+        self.raw.push_str(raw);
+        self.query_start = raw.find('?');
     }
 
     /// The full raw target, exactly as logged.

@@ -76,6 +76,13 @@ impl RequestLine {
         }
     }
 
+    /// Overwrites every part in place, reusing the target's buffer.
+    pub(crate) fn set(&mut self, method: HttpMethod, target: &str, version: HttpVersion) {
+        self.method = method;
+        self.path.set(target);
+        self.version = version;
+    }
+
     /// The request method.
     pub fn method(&self) -> HttpMethod {
         self.method

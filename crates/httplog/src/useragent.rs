@@ -109,6 +109,15 @@ impl UserAgent {
         }
     }
 
+    /// Overwrites the string in place with [`new`](Self::new)'s
+    /// normalisation, reusing the buffer.
+    pub(crate) fn set(&mut self, raw: &str) {
+        self.raw.clear();
+        if raw != "-" {
+            self.raw.push_str(raw);
+        }
+    }
+
     /// The absent user agent.
     pub fn empty() -> Self {
         Self { raw: String::new() }

@@ -19,7 +19,10 @@
 //!   line and parses it like any other) are appended to one contiguous
 //!   text buffer with compact per-entry metadata, so a whole chunk of
 //!   entries is freed (and the buffers reused) in O(1) when the chunk
-//!   finalizes.
+//!   finalizes. The metadata holds everything the parse found, so the
+//!   owned form of an entry is assembled back out of it
+//!   ([`fill_entry`](EntryBlock::fill_entry)) without tokenizing the
+//!   line a second time.
 //! * [`UaInterner`] caches `(fingerprint, family)` per distinct
 //!   user-agent string, so repeated agents — the overwhelmingly common
 //!   case — cost one hash lookup instead of a classify pass.
@@ -37,7 +40,9 @@ use std::net::Ipv4Addr;
 
 use crate::entry::{parse_parts, RawParts};
 use crate::error::ParseLogError;
-use crate::{AgentFamily, ClfTimestamp, HttpMethod, HttpStatus, LogEntry, ResourceClass};
+use crate::{
+    AgentFamily, ClfTimestamp, HttpMethod, HttpStatus, HttpVersion, LogEntry, ResourceClass,
+};
 
 /// FNV-1a over raw bytes — the same stable 64-bit hash as
 /// [`UserAgent::fingerprint`](crate::UserAgent::fingerprint), usable
@@ -305,7 +310,8 @@ impl UaInterner {
 }
 
 /// Per-entry metadata inside an [`EntryBlock`]: `Copy` scalars plus byte
-/// ranges into the block's text arena.
+/// ranges into the block's text arena. Everything [`parse_parts`] found
+/// is here, so neither a view nor an owned entry re-reads the line.
 #[derive(Debug, Clone, Copy)]
 struct EntryMeta {
     line: (u32, u32),
@@ -315,11 +321,18 @@ struct EntryMeta {
     target: (u32, u32),
     path_len: u32,
     status: HttpStatus,
-    has_referrer: bool,
     ua: (u32, u32),
     ua_fp: u64,
     family: AgentFamily,
     resource: ResourceClass,
+    // `None` is the CLF absent marker; a present field can be empty (an
+    // empty quoted referrer, an empty token between two spaces).
+    referrer: Option<(u32, u32)>,
+    // What only the owned entry carries.
+    ident: Option<(u32, u32)>,
+    user: Option<(u32, u32)>,
+    version: HttpVersion,
+    bytes: Option<u64>,
 }
 
 /// A chunk-sized arena of parsed entries: one contiguous text buffer
@@ -417,11 +430,15 @@ impl EntryBlock {
             target: range(parts.target),
             path_len: path_len as u32,
             status: parts.status,
-            has_referrer: parts.referrer.is_some(),
             ua: range(ua),
             ua_fp,
             family,
             resource: ResourceClass::classify(&parts.target[..path_len]),
+            referrer: parts.referrer.map(range),
+            ident: parts.ident.map(range),
+            user: parts.user.map(range),
+            version: parts.version,
+            bytes: parts.bytes,
         });
         Ok(())
     }
@@ -441,7 +458,7 @@ impl EntryBlock {
             target: slice(m.target),
             path_len: m.path_len,
             status: m.status,
-            has_referrer: m.has_referrer,
+            has_referrer: m.referrer.is_some(),
             ua: slice(m.ua),
             ua_fp: m.ua_fp,
             family: m.family,
@@ -449,8 +466,39 @@ impl EntryBlock {
         }
     }
 
-    /// The `i`-th entry's full original line (terminator stripped) —
-    /// what [`LogEntry::parse`] reconstructs the owned entry from.
+    /// Assembles the `i`-th entry as an owned [`LogEntry`] in `slot` —
+    /// equal to [`LogEntry::parse`] of [`line(i)`](Self::line) — from
+    /// the metadata recorded when the line was pushed: nothing is
+    /// tokenized again. A slot that already holds an entry is
+    /// overwritten field by field and its `String` buffers are reused,
+    /// so filling one slot entry after entry allocates only where a
+    /// text outgrows its buffer or an absent `ident`/`user`/referrer
+    /// turns present.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= len()`.
+    pub fn fill_entry<'a>(&self, i: usize, slot: &'a mut Option<LogEntry>) -> &'a LogEntry {
+        let m = &self.metas[i];
+        let slice = |r: (u32, u32)| &self.text[r.0 as usize..r.1 as usize];
+        let entry = slot.get_or_insert_with(LogEntry::blank);
+        entry.refill(&RawParts {
+            addr: m.addr,
+            ident: m.ident.map(slice),
+            user: m.user.map(slice),
+            timestamp: m.timestamp,
+            method: m.method,
+            target: slice(m.target),
+            version: m.version,
+            status: m.status,
+            bytes: m.bytes,
+            referrer: m.referrer.map(slice),
+            ua: slice(m.ua),
+        });
+        entry
+    }
+
+    /// The `i`-th entry's full original line (terminator stripped).
     ///
     /// # Panics
     ///
@@ -566,6 +614,50 @@ mod tests {
             (pushed, parsed) => panic!("{rendered:?}: pushed {pushed:?} vs parsed {parsed:?}"),
         }
         assert_eq!(block.view(0), EntryRef::parse(SAMPLE).unwrap());
+    }
+
+    /// [`fragment_pool`] plus the lines a reused owned-entry slot must
+    /// not carry anything across: every optional field present, then
+    /// absent, an empty quoted referrer, `HTTP/2.0`, plain Common format.
+    fn slot_pool() -> Vec<String> {
+        let mut pool = fragment_pool();
+        pool.extend(
+            [
+                r#"10.0.0.2 ident alice [11/Mar/2018:00:00:01 +0000] "POST /booking/7?step=2 HTTP/2.0" 302 0 "https://shop.example/offers/7" "Mozilla/5.0 (Windows NT 10.0) Chrome/64.0""#,
+                r#"10.0.0.3 - - [11/Mar/2018:00:00:02 +0000] "GET /offers/3 HTTP/1.1" 200 2326 "" "curl/7.58.0""#,
+                r#"10.0.0.4 - - [11/Mar/2018:00:00:03 +0000] "GET /a HTTP/1.0" 304 - "-" "-""#,
+                r#"10.0.0.5 - bob [11/Mar/2018:00:00:04 +0000] "HEAD /robots.txt HTTP/1.1" 404 -"#,
+                r#"10.0.0.6  - [11/Mar/2018:00:00:05 +0000] "GET / HTTP/1.1" 200 18446744073709551615 "-" "x""#,
+            ]
+            .map(str::to_owned),
+        );
+        pool
+    }
+
+    #[test]
+    fn a_reused_slot_renders_every_pool_line_back() {
+        let lines: Vec<String> = slot_pool()
+            .into_iter()
+            .filter(|l| LogEntry::parse(l).is_ok())
+            .collect();
+        let mut block = EntryBlock::new();
+        for line in &lines {
+            block.push_line(line).unwrap();
+        }
+        let mut slot = None;
+        // Forwards then backwards: every neighbouring pair of lines
+        // fills the slot in both orders.
+        for i in (0..lines.len()).chain((0..lines.len()).rev()) {
+            let filled = block.fill_entry(i, &mut slot);
+            assert_eq!(filled, &LogEntry::parse(&lines[i]).unwrap(), "entry {i}");
+            // Display normalises plain Common format to Combined.
+            let canonical = if lines[i].ends_with('"') {
+                lines[i].clone()
+            } else {
+                format!(r#"{} "-" "-""#, lines[i])
+            };
+            assert_eq!(filled.to_string(), canonical, "entry {i}");
+        }
     }
 
     #[test]
@@ -747,6 +839,44 @@ mod tests {
             }
             let line = String::from_utf8_lossy(&bytes).into_owned();
             assert_parsers_agree(&line);
+        }
+
+        // One reused slot, filled line after line from an arena of pool
+        // lines and byte-flipped pool lines, equals a fresh parse of
+        // each line every time: no `Some` ident, user, referrer or size
+        // survives from the previous entry, in either direction.
+        #[test]
+        fn a_reused_slot_equals_a_fresh_parse_every_time(
+            picks in proptest::collection::vec(
+                (0usize..64, any::<bool>(), 0usize..200, 0u8..=255),
+                1..24,
+            ),
+        ) {
+            let pool = slot_pool();
+            let mut block = EntryBlock::new();
+            let mut expected = Vec::new();
+            let mut slot = None;
+            for (which, mutate, flip_at, flip_to) in picks {
+                let mut bytes = pool[which % pool.len()].clone().into_bytes();
+                if mutate && !bytes.is_empty() {
+                    let at = flip_at % bytes.len();
+                    bytes[at] = flip_to;
+                }
+                let line = String::from_utf8_lossy(&bytes).into_owned();
+                match LogEntry::parse(&line) {
+                    Ok(entry) => {
+                        block.push_line(&line).unwrap();
+                        let filled = block.fill_entry(block.len() - 1, &mut slot);
+                        assert_eq!(filled, &entry, "slot diverged on {line:?}");
+                        expected.push(entry);
+                    }
+                    Err(error) => assert_eq!(block.push_line(&line), Err(error)),
+                }
+            }
+            // And again out of push order, from the finished arena.
+            for (i, entry) in expected.iter().enumerate().rev() {
+                assert_eq!(block.fill_entry(i, &mut slot), entry, "entry {i}");
+            }
         }
 
         // The three view sources agree on builder-made entries whose

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use divscrape_httplog::ParseLogError;
-use divscrape_pipeline::{AlertVector, Pipeline, PipelineReport, PipelineStats};
+use divscrape_pipeline::{Pipeline, PipelineReport, PipelineStats};
 
 use crate::file_tail::FileTail;
 use crate::source::{LogSource, SourceEventRef};
@@ -484,6 +484,7 @@ impl IngestDriver {
     ) -> Result<EndReason, IngestError> {
         let mut uncommitted: u64 = 0;
         let mut scratch = String::new();
+        let mut now = Instant::now();
         loop {
             if self.stop.swap(false, Ordering::AcqRel) {
                 return Ok(EndReason::Stopped);
@@ -491,19 +492,22 @@ impl IngestDriver {
             if self.stats.lines_read.is_multiple_of(1024) {
                 self.sample_backlog(tail);
             }
-            let wait = self.source_wait();
+            let wait = self.pipeline.park_for(now, self.tick);
             let polled = Instant::now();
             let mut commit_due = false;
-            match tail
+            let event = tail
                 .poll_ref(wait, &mut scratch)
-                .map_err(IngestError::Source)?
-            {
+                .map_err(IngestError::Source)?;
+            now = Instant::now();
+            match event {
                 SourceEventRef::Line(line) => {
                     self.stats.lines_read += 1;
-                    let pushed = Instant::now();
-                    match self.pipeline.push_line(line) {
+                    let pushed = now;
+                    let outcome = self.pipeline.push_line(line);
+                    now = Instant::now();
+                    match outcome {
                         Ok(()) => {
-                            self.stats.blocked_in_push += pushed.elapsed();
+                            self.stats.blocked_in_push += now - pushed;
                             self.stats.entries_ingested += 1;
                             uncommitted += 1;
                             commit_due = uncommitted >= self.checkpoint_every;
@@ -523,7 +527,7 @@ impl IngestDriver {
                     handle_oversized(&mut self.policy, &mut self.stats, dropped_bytes)?;
                 }
                 SourceEventRef::Idle => {
-                    self.stats.source_wait += polled.elapsed();
+                    self.stats.source_wait += now - polled;
                     self.sample_backlog(tail);
                     // A quiet source is the cheapest moment to commit:
                     // nothing is waiting behind the drain barrier.
@@ -559,6 +563,9 @@ impl IngestDriver {
         // borrowed fast path land each polled line here instead of the
         // driver copying it onward.
         let mut scratch = String::new();
+        // The loop's latest clock reading: every turn's own timing reads
+        // refresh it, so the next turn's deadline check needs no other.
+        let mut now = Instant::now();
         loop {
             // `swap` consumes the request: a stop raised before this run
             // even started still ends it (never silently discarded), and
@@ -572,24 +579,29 @@ impl IngestDriver {
             if self.stats.lines_read.is_multiple_of(1024) {
                 self.sample_backlog(&*source);
             }
-            // On a quiet source this is also what flushes the tail: the
-            // wait ends at the buffered entries' deadline, `Idle` comes
-            // back, and the next turn's poll submits them.
-            let wait = self.source_wait();
+            // Ticks the pipeline's flush clock: the source is waited on
+            // until the buffered entries' deadline, never longer than
+            // the configured tick. On a quiet source this is also what
+            // flushes the tail: the wait ends at the deadline, `Idle`
+            // comes back, and the next turn's tick submits them.
+            let wait = self.pipeline.park_for(now, self.tick);
             let polled = Instant::now();
-            match source
+            let event = source
                 .poll_ref(wait, &mut scratch)
-                .map_err(IngestError::Source)?
-            {
+                .map_err(IngestError::Source)?;
+            now = Instant::now();
+            match event {
                 SourceEventRef::Line(line) => {
                     self.stats.lines_read += 1;
-                    let pushed = Instant::now();
+                    let pushed = now;
                     // The borrowed line parses in place inside the
                     // pipeline's entry arena — no owned `LogEntry` is
                     // built on the ingest path.
-                    match self.pipeline.push_line(line) {
+                    let outcome = self.pipeline.push_line(line);
+                    now = Instant::now();
+                    match outcome {
                         Ok(()) => {
-                            self.stats.blocked_in_push += pushed.elapsed();
+                            self.stats.blocked_in_push += now - pushed;
                             self.stats.entries_ingested += 1;
                         }
                         Err(err) => {
@@ -607,21 +619,12 @@ impl IngestDriver {
                     handle_oversized(&mut self.policy, &mut self.stats, dropped_bytes)?;
                 }
                 SourceEventRef::Idle => {
-                    self.stats.source_wait += polled.elapsed();
+                    self.stats.source_wait += now - polled;
                     self.sample_backlog(&*source);
                 }
                 SourceEventRef::Eof => return Ok(EndReason::SourceExhausted),
             }
         }
-    }
-
-    /// Ticks the pipeline's flush clock ([`Pipeline::poll`]) and returns
-    /// how long the source may be waited on: until the buffered entries'
-    /// deadline, never longer than the configured tick.
-    fn source_wait(&mut self) -> Duration {
-        self.pipeline
-            .poll()
-            .map_or(self.tick, |due| due.min(self.tick))
     }
 
     /// Updates the source-lag high-water mark.
@@ -638,46 +641,25 @@ impl IngestDriver {
 /// detector names) come from the first drain; every pipeline drain of
 /// the same pipeline carries the same ones.
 #[derive(Default)]
-struct ReportAccumulator {
-    combined_name: String,
-    member_names: Vec<String>,
-    combined: Vec<bool>,
-    members: Vec<Vec<bool>>,
-    started: bool,
-}
+struct ReportAccumulator(Option<PipelineReport>);
 
 impl ReportAccumulator {
     /// Appends one drain's vectors.
     fn absorb(&mut self, report: PipelineReport) {
-        if !self.started {
-            self.started = true;
-            self.combined_name = report.combined.name().to_owned();
-            self.member_names = report.members.iter().map(|m| m.name().to_owned()).collect();
-            self.members = vec![Vec::new(); report.members.len()];
-        }
-        for i in 0..report.combined.len() {
-            self.combined.push(report.combined.get(i));
-        }
-        for (member, bools) in report.members.iter().zip(&mut self.members) {
-            for i in 0..member.len() {
-                bools.push(member.get(i));
-            }
+        let Some(whole) = &mut self.0 else {
+            self.0 = Some(report);
+            return;
+        };
+        whole.combined.append(&report.combined);
+        for (whole, member) in whole.members.iter_mut().zip(&report.members) {
+            whole.append(member);
         }
     }
 
-    /// The concatenated report. The final commit always absorbs at
-    /// least one drain, so the labels are present even for an empty
-    /// feed.
+    /// The concatenated report.
     fn into_report(self) -> PipelineReport {
-        PipelineReport {
-            combined: AlertVector::from_bools(self.combined_name, &self.combined),
-            members: self
-                .member_names
-                .into_iter()
-                .zip(&self.members)
-                .map(|(name, bools)| AlertVector::from_bools(name, bools))
-                .collect(),
-        }
+        self.0
+            .expect("the final commit always absorbs at least one drain")
     }
 }
 

@@ -2,8 +2,8 @@
 
 use divscrape_detect::{EvictionConfig, TenantId, TriagePolicy};
 use divscrape_ensemble::{
-    DriftAlarm, KOutOfN, RecalibrationPolicy, Recalibrator, ThresholdController, ThresholdPolicy,
-    WeightedVote,
+    AlertVector, DriftAlarm, KOutOfN, RecalibrationPolicy, Recalibrator, ThresholdController,
+    ThresholdPolicy, WeightedVote,
 };
 use std::time::Duration;
 
@@ -115,6 +115,16 @@ impl Rule {
         match self {
             Rule::KOutOfN(rule) => rule.label(),
             Rule::Weighted(_) => "weighted".to_owned(),
+        }
+    }
+
+    /// Combines the members' votes (one vector per member, in
+    /// composition order) with the ensemble rule, verbatim.
+    pub(crate) fn apply(&self, members: &[AlertVector]) -> AlertVector {
+        let refs: Vec<&AlertVector> = members.iter().collect();
+        match self {
+            Rule::KOutOfN(rule) => rule.apply(&refs),
+            Rule::Weighted(rule) => rule.apply(&refs),
         }
     }
 

@@ -52,10 +52,12 @@
 //! lives in `flush.rs`), and workers run it through the detectors
 //! ([`Detector::observe_batch_refs`]) over [`EntryRef`] views, so the
 //! steady-state path from line bytes to verdict performs no per-entry
-//! heap allocation. Owned `LogEntry` values are materialized lazily at
-//! finalization, only for the few positions a sink or label oracle
-//! actually consumes; finalized arenas are recycled (capacity and warm
-//! interner kept) through a small pool.
+//! heap allocation. An owned `LogEntry` exists only at finalization
+//! (`finalize.rs`), for the positions a sink or label oracle actually
+//! consumes — one reused entry, re-assembled in place from the arena's
+//! metadata ([`EntryBlock::fill_entry`]), never a second parse of the
+//! line; finalized arenas are recycled (capacity and warm interner
+//! kept) through a small pool.
 //!
 //! [`Detector::observe_batch_refs`]: divscrape_detect::Detector::observe_batch_refs
 
@@ -200,7 +202,6 @@ pub struct AppliedRuleUpdate {
 /// with the pipeline panics with a "worker thread died" message rather
 /// than deadlocking.
 pub struct Pipeline {
-    pub(crate) names: Vec<String>,
     pub(crate) rule: Rule,
     /// Runtime rule installs not yet applied, as `(first_seq, rule)`:
     /// chunks with sequence >= `first_seq` finalize under `rule`.
@@ -237,10 +238,6 @@ pub struct Pipeline {
     /// [`reset`](Self::reset)) — the fallback for re-adjudicating
     /// replayed entries that predate every recorded rule install.
     pub(crate) initial_rule: Rule,
-    /// Feed-order index of the first entry in the current accumulation
-    /// window (advances at [`drain`](Self::drain)); maps a replayed
-    /// entry's index to its `acc_*` position.
-    pub(crate) acc_base: u64,
     /// The one ingest buffer: the arena every push flavor appends to,
     /// submitted as a chunk when it reaches the chunk capacity or its
     /// oldest entry reaches the flush deadline.
@@ -252,8 +249,19 @@ pub struct Pipeline {
     /// warm user-agent interner kept, so steady-state `push_line`
     /// traffic allocates nothing per entry.
     pub(crate) block_pool: Vec<EntryBlock>,
-    pub(crate) acc_combined: Vec<bool>,
-    pub(crate) acc_members: Vec<Vec<bool>>,
+    /// The report since the last [`drain`](Self::drain), bit-packed —
+    /// so it opens at entry `finalized - acc_combined.len()`: finalize
+    /// appends each chunk's words at the current bit offset, a replayed
+    /// verdict patches a bit, `drain` moves them out.
+    pub(crate) acc_combined: AlertVector,
+    pub(crate) acc_members: Vec<AlertVector>,
+    /// The chunk being adjudicated: one vote vector per member, named
+    /// after its detector, refilled from its verdict column.
+    pub(crate) votes: Vec<AlertVector>,
+    /// The one owned entry sinks and the label oracle are shown,
+    /// re-assembled in place from arena metadata for each position they
+    /// consume ([`EntryBlock::fill_entry`]).
+    pub(crate) entry_slot: Option<LogEntry>,
     /// `Some` for a single-worker pipeline: the detectors run inline on
     /// the driver and the pool machinery below sits idle.
     inline_crew: Option<Vec<Box<dyn PipelineDetector>>>,
@@ -275,7 +283,7 @@ pub struct Pipeline {
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("members", &self.names)
+            .field("members", &self.member_names())
             .field("rule", &self.rule.label())
             .field("workers", &self.worker_count())
             .field("chunk_capacity", &self.chunk_capacity)
@@ -334,8 +342,10 @@ impl Pipeline {
         thresholds: Option<ThresholdController>,
         drift_hook: Option<DriftHook>,
     ) -> Self {
-        let names: Vec<String> = detectors.iter().map(|d| d.name().to_owned()).collect();
-        let n_members = names.len();
+        let votes: Vec<AlertVector> = detectors
+            .iter()
+            .map(|d| AlertVector::empty(d.name(), 0))
+            .collect();
         // The triage filter's per-client state obeys the same eviction
         // policy as the detectors, so both tiers forget clients in
         // lockstep.
@@ -385,11 +395,9 @@ impl Pipeline {
             handles.len()
         };
         Self {
-            names,
             initial_rule: rule.clone(),
             rule,
             triage,
-            acc_base: 0,
             pending_rules: VecDeque::new(),
             recalib,
             labels,
@@ -404,8 +412,10 @@ impl Pipeline {
             block: EntryBlock::new(),
             flush_clock: FlushClock::new(max_delay),
             block_pool: Vec::new(),
-            acc_combined: Vec::new(),
-            acc_members: vec![Vec::new(); n_members],
+            acc_combined: AlertVector::empty("", 0),
+            acc_members: votes.clone(),
+            votes,
+            entry_slot: None,
             worker_evict: vec![EvictionStats::default(); tracked_workers],
             inline_crew,
             workers: handles,
@@ -420,7 +430,7 @@ impl Pipeline {
 
     /// The composed detector names, in composition order.
     pub fn member_names(&self) -> Vec<&str> {
-        self.names.iter().map(String::as_str).collect()
+        self.votes.iter().map(AlertVector::name).collect()
     }
 
     /// The tenant this pipeline serves
@@ -537,7 +547,7 @@ impl Pipeline {
     /// composition (vote count out of range, wrong weight count,
     /// malformed weights).
     pub fn set_adjudication(&mut self, adjudication: Adjudication) -> Result<(), BuildError> {
-        let rule = adjudication.resolve(self.names.len())?;
+        let rule = adjudication.resolve(self.votes.len())?;
         // Submit anything still buffered so the rule boundary falls
         // exactly between entries pushed before and after this call
         // (chunk boundaries never change member verdicts, so the early
@@ -692,9 +702,10 @@ impl Pipeline {
     /// the pipeline's current entry arena. The line text is copied once
     /// into the arena's contiguous buffer and never again: detectors
     /// observe it through borrowed
-    /// [`EntryRef`](divscrape_httplog::EntryRef) views, and an owned
-    /// [`LogEntry`] is materialized only if an alert sink or label
-    /// oracle needs one at finalization. Arenas are recycled after
+    /// [`EntryRef`](divscrape_httplog::EntryRef) views, and the one
+    /// owned [`LogEntry`] sinks and the label oracle are shown is
+    /// re-assembled from the parse's metadata at finalization, only for
+    /// the positions they consume. Arenas are recycled after
     /// finalization, so steady-state ingestion performs no per-entry
     /// heap allocation.
     ///
@@ -819,16 +830,8 @@ impl Pipeline {
         for sink in &mut self.sinks {
             sink.flush();
         }
-        let combined =
-            AlertVector::from_bools(self.rule.label(), &std::mem::take(&mut self.acc_combined));
-        let members = self
-            .names
-            .iter()
-            .zip(self.acc_members.iter_mut())
-            .map(|(name, acc)| AlertVector::from_bools(name, &std::mem::take(acc)))
-            .collect();
-        // The taken accumulators restart at the current stream position.
-        self.acc_base = self.finalized;
+        let combined = self.acc_combined.take().renamed(self.rule.label());
+        let members = self.acc_members.iter_mut().map(AlertVector::take).collect();
         PipelineReport { combined, members }
     }
 
@@ -885,11 +888,10 @@ impl Pipeline {
         self.initial_rule = self.rule.clone();
         self.block.clear();
         self.flush_clock.clear();
-        self.acc_combined.clear();
+        self.acc_combined.refill([]);
         for acc in &mut self.acc_members {
-            acc.clear();
+            acc.refill([]);
         }
-        self.acc_base = 0;
         self.next_seq = 0;
         self.submitted = 0;
         self.finalized = 0;
@@ -942,9 +944,10 @@ impl Pipeline {
     }
 
     /// The latency bound's clock tick, for callers that own a wait: a
-    /// thread that parks on its input (the service plane's shard
-    /// drivers, the ingest driver's source loop) calls this before
-    /// parking and parks no longer than the returned time.
+    /// thread that parks on its input calls this before parking and
+    /// parks no longer than the returned time (the service plane's
+    /// shard drivers and the ingest driver's source loop do, through
+    /// [`park_for`](Self::park_for)).
     ///
     /// Submits the buffered entries if their oldest has waited
     /// [`max_delay`](crate::PipelineBuilder::max_delay), collects and
@@ -981,7 +984,19 @@ impl Pipeline {
     /// # Ok::<(), String>(())
     /// ```
     pub fn poll(&mut self) -> Option<Duration> {
-        let mut deadline = self.flush_clock.remaining();
+        self.poll_at(Instant::now())
+    }
+
+    /// [`poll`](Self::poll) as a driver's wait: how long to park on the
+    /// input — until `poll` wants calling again, never longer than the
+    /// driver's own `tick`. `now` is a clock reading the driver already
+    /// holds (it times its pushes), so a per-line loop reads no other.
+    pub fn park_for(&mut self, now: Instant, tick: Duration) -> Duration {
+        self.poll_at(now).map_or(tick, |due| due.min(tick))
+    }
+
+    fn poll_at(&mut self, now: Instant) -> Option<Duration> {
+        let mut deadline = self.flush_clock.remaining(now);
         if deadline == Some(Duration::ZERO) {
             self.flush_overdue();
             deadline = None; // just submitted: nothing is buffered
@@ -1031,7 +1046,7 @@ impl Pipeline {
         let seq = self.next_seq;
         self.next_seq += 1;
         let n = block.len();
-        let n_detectors = self.names.len();
+        let n_detectors = self.votes.len();
         let shard_count = self.workers.len();
 
         // A chunk wholly owned by one worker (single-worker pool, or all
@@ -1185,7 +1200,7 @@ impl Pipeline {
         let started = Instant::now();
         let crew = self.inline_crew.as_mut().expect("inline pipeline");
         let n = block.len();
-        let n_detectors = self.names.len();
+        let n_detectors = self.votes.len();
         let (columns, retro) = match plan {
             None => {
                 let columns = match run_shard(crew, &block, None) {
@@ -1332,7 +1347,7 @@ mod tests {
     use super::*;
     use crate::{Adjudication, CollectingSink, CountingSink, PipelineBuilder};
     use divscrape_detect::baselines::RateLimiter;
-    use divscrape_detect::{run_alerts, Arcane, Sentinel};
+    use divscrape_detect::{run_alerts, Arcane, Sentinel, TriageDecision};
     use divscrape_ensemble::KOutOfN;
     use divscrape_traffic::{generate, ScenarioConfig};
 
@@ -1418,6 +1433,125 @@ mod tests {
         // carried across the drain boundary.
         assert_eq!(all, expected);
         assert_eq!(pipeline.requests_seen(), log.len() as u64);
+    }
+
+    #[test]
+    fn the_word_accumulators_take_chunks_at_any_bit_offset() {
+        // 257-entry chunks append at offsets that are never a multiple
+        // of 64; 4,096-entry chunks always do. Same report either way —
+        // vector equality covers the tail bits beyond `len` too.
+        let log = generate(&ScenarioConfig::tiny(33)).unwrap();
+        let run = |chunk: usize| {
+            let mut pipeline = PipelineBuilder::new()
+                .detector(Sentinel::stock())
+                .detector(Arcane::stock())
+                .detector(RateLimiter::new(40))
+                .adjudication(Adjudication::k_of_n(2))
+                .chunk_capacity(chunk)
+                .max_delay(Duration::MAX) // fill-only: pins the offsets
+                .build()
+                .unwrap();
+            pipeline.push_batch(log.entries());
+            pipeline.drain()
+        };
+        let (small, large) = (run(257), run(4_096));
+        assert_eq!(small.requests(), log.len());
+        assert!(small.combined.count() > 0, "bot-heavy traffic must alert");
+        assert_eq!(small.combined, large.combined);
+        assert_eq!(small.members, large.members);
+    }
+
+    /// Suppresses each client's first `after - 1` entries, then
+    /// escalates: a deliberately weak filter, so replayed history
+    /// routinely carries verdicts that alert.
+    #[derive(Debug, Clone)]
+    struct Fuse {
+        after: u64,
+        seen: std::collections::HashMap<(std::net::Ipv4Addr, u64), u64>,
+    }
+
+    impl divscrape_detect::TriageFilter for Fuse {
+        fn name(&self) -> &str {
+            "fuse"
+        }
+        fn classify(&mut self, entry: &divscrape_httplog::EntryRef<'_>) -> TriageDecision {
+            let seen = self.seen.entry(entry.client_key()).or_insert(0);
+            *seen += 1;
+            match (*seen).cmp(&self.after) {
+                std::cmp::Ordering::Less => TriageDecision::Benign,
+                std::cmp::Ordering::Equal => TriageDecision::Escalate,
+                std::cmp::Ordering::Greater => TriageDecision::Escalated,
+            }
+        }
+        fn reset(&mut self) {
+            self.seen.clear();
+        }
+        fn set_eviction(&mut self, _cfg: EvictionConfig) {}
+        fn eviction_stats(&self) -> EvictionStats {
+            EvictionStats::default()
+        }
+        fn clone_boxed(&self) -> Box<dyn divscrape_detect::TriageFilter> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_replayed_verdict_patches_the_right_bit_after_a_mid_stream_drain() {
+        // A drain moves the accumulated words out and restarts them at
+        // a stream position that is no multiple of 64; escalations after
+        // it replay history from earlier chunks of the new window, whose
+        // alerting verdicts are patched in bit by bit. Nothing spills,
+        // so the triage-off run is the reference for every bit the
+        // second drain reports.
+        let log = generate(&ScenarioConfig::tiny(77)).unwrap();
+        let mid = log.len() / 3 + 7;
+        let build = |triage: bool, sink: CountingSink| {
+            let mut builder = PipelineBuilder::new()
+                .detector(Sentinel::stock())
+                .detector(Arcane::stock())
+                .sink(sink)
+                .chunk_capacity(17)
+                .max_delay(Duration::MAX);
+            if triage {
+                builder = builder.triage(divscrape_detect::TriagePolicy::custom(Fuse {
+                    after: 25,
+                    seen: Default::default(),
+                }));
+            }
+            builder.build().unwrap()
+        };
+        let mut reference = build(false, CountingSink::new());
+        reference.push_batch(log.entries());
+        let reference = reference.drain();
+
+        let counter = CountingSink::new();
+        let delivered = counter.handle();
+        let mut pipeline = build(true, counter);
+        pipeline.push_batch(&log.entries()[..mid]);
+        let first = pipeline.drain();
+        pipeline.push_batch(&log.entries()[mid..]);
+        let second = pipeline.drain();
+        assert_eq!(pipeline.stats().triage_spilled_entries, 0);
+
+        assert_eq!(first.requests(), mid);
+        assert_eq!(
+            second.combined.to_bools(),
+            reference.combined.to_bools()[mid..]
+        );
+        for (got, want) in second.members.iter().zip(&reference.members) {
+            assert_eq!(got.to_bools(), want.to_bools()[mid..], "{}", got.name());
+        }
+        // What a patch after the drain added to the first window went
+        // to the sinks only; what the first drain did report is right.
+        assert!(first
+            .combined
+            .iter_alerted()
+            .all(|i| reference.combined.get(i)));
+        assert_eq!(
+            delivered.load(std::sync::atomic::Ordering::Relaxed),
+            reference.combined.count(),
+            "every alert is delivered once, on time or late"
+        );
     }
 
     #[test]

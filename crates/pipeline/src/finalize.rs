@@ -33,7 +33,7 @@ impl Pipeline {
             ..
         } = pending;
         let n = block.len();
-        let n_detectors = self.names.len();
+        let n_detectors = self.votes.len();
 
         // Replayed-history verdicts. An entry replayed from **this**
         // chunk (suppressed earlier in the same chunk as its client's
@@ -59,81 +59,70 @@ impl Pipeline {
             self.apply_retro_verdicts(early);
         }
 
-        // Online adjudication, reusing the ensemble rules verbatim.
+        // Online adjudication, reusing the ensemble rules verbatim: each
+        // member's votes are packed once, from its column, into a scratch
+        // vector that outlives the chunk.
         let adjudicate_started = Instant::now();
-        let member_bools: Vec<Vec<bool>> = columns
-            .iter()
-            .map(|col| col.iter().map(|v| v.alert).collect())
-            .collect();
-        let vectors: Vec<AlertVector> = member_bools
-            .iter()
-            .zip(&self.names)
-            .map(|(bools, name)| AlertVector::from_bools(name, bools))
-            .collect();
-        let refs: Vec<&AlertVector> = vectors.iter().collect();
-        let combined = match &self.rule {
-            Rule::KOutOfN(rule) => rule.apply(&refs),
-            Rule::Weighted(rule) => rule.apply(&refs),
-        };
-        let combined_bools = combined.to_bools();
+        for (votes, column) in self.votes.iter_mut().zip(&columns) {
+            votes.refill(column.iter().map(|v| v.alert));
+        }
+        let combined = self.rule.apply(&self.votes);
         self.stats.adjudicate_busy += adjudicate_started.elapsed();
-        self.stats.alerts += combined_bools.iter().filter(|alert| **alert).count() as u64;
+        self.stats.alerts += combined.count();
 
         if !self.sinks.is_empty() {
             let sink_started = Instant::now();
-            // Cheap Arc clone: frees `self.sinks` for the mutable loop.
-            let tenant = self.tenant.clone();
-            // Sinks that asked to be shown finalized entries (the
-            // durable store), each with which ones.
-            let entry_sinks: Vec<(usize, RecordPolicy)> = self
-                .sinks
-                .iter()
-                .enumerate()
-                .map(|(i, sink)| (i, sink.entry_policy()))
-                .filter(|&(_, policy)| policy != RecordPolicy::AlertsOnly)
-                .collect();
+            // Which finalized entries each sink asked to be shown
+            // (the durable store records them); most ask for none.
+            let policies: Vec<RecordPolicy> =
+                self.sinks.iter().map(|sink| sink.entry_policy()).collect();
+            let recording = policies.iter().any(|&p| p != RecordPolicy::AlertsOnly);
+            // The positions some sink consumes, and no others: the
+            // alerts, plus what a recording sink's policy adds — where a
+            // member voted, or everywhere. Walked a word at a time: a
+            // quiet stretch costs one test per 64 entries.
+            let mut shown = combined.clone();
+            if policies.contains(&RecordPolicy::AllEntries) {
+                shown.refill(std::iter::repeat_n(true, n));
+            } else if recording {
+                for member in &self.votes {
+                    shown.union_with(member);
+                }
+            }
             let mut votes = vec![false; n_detectors];
             let mut scores = vec![0.0f32; n_detectors];
-            for i in 0..n {
-                let alerted = combined_bools[i];
-                // Only a recording sink's policy looks at the votes.
-                let voted = !entry_sinks.is_empty() && member_bools.iter().any(|member| member[i]);
-                let recorded = entry_sinks
-                    .iter()
-                    .any(|&(_, policy)| policy.keeps(alerted, voted));
-                if !alerted && !recorded {
-                    continue;
-                }
-                // An owned entry is materialized only here — for the
-                // positions a sink actually consumes.
-                let entry = &LogEntry::parse(block.line(i))
-                    .expect("arena lines are stored only after a successful parse");
-                for (vote, member) in votes.iter_mut().zip(&member_bools) {
-                    *vote = member[i];
+            for i in shown.iter_alerted() {
+                // The owned entry is assembled only here — for the
+                // positions a sink actually consumes — from the arena's
+                // metadata, into the one reused slot.
+                let entry = block.fill_entry(i, &mut self.entry_slot);
+                for (vote, member) in votes.iter_mut().zip(&self.votes) {
+                    *vote = member.get(i);
                 }
                 for (score, column) in scores.iter_mut().zip(&columns) {
                     *score = column[i].confidence();
                 }
                 let index = self.finalized + i as u64;
-                if recorded {
+                let (alerted, voted) = (combined.get(i), votes.contains(&true));
+                if recording {
                     let record = ScoredEntry {
                         index,
-                        tenant: tenant.as_ref(),
+                        tenant: self.tenant.as_ref(),
                         entry,
                         alerted,
                         votes: &votes,
                         scores: &scores,
                     };
-                    for &(si, policy) in &entry_sinks {
+                    for (sink, policy) in self.sinks.iter_mut().zip(&policies) {
                         if policy.keeps(alerted, voted) {
-                            self.sinks[si].on_entry(&record);
+                            sink.on_entry(&record);
                         }
                     }
                 }
                 if alerted {
                     let alert = Alert {
                         index,
-                        tenant: tenant.as_ref(),
+                        tenant: self.tenant.as_ref(),
                         entry,
                         votes: &votes,
                         scores: &scores,
@@ -146,14 +135,14 @@ impl Pipeline {
             self.stats.sink_busy += sink_started.elapsed();
         }
 
-        self.observe_for_recalibration(&block, &columns, &member_bools);
-        self.observe_for_threshold_control(&combined_bools);
+        self.observe_for_recalibration(&block, &columns);
+        self.observe_for_threshold_control(&combined);
 
         self.finalized += n as u64;
         self.stats.chunks += 1;
-        self.acc_combined.extend_from_slice(&combined_bools);
-        for (acc, member) in self.acc_members.iter_mut().zip(member_bools) {
-            acc.extend(member);
+        self.acc_combined.append(&combined);
+        for (acc, votes) in self.acc_members.iter_mut().zip(&self.votes) {
+            acc.append(votes);
         }
 
         // Recycle the chunk's arena: once the workers have dropped their
@@ -183,12 +172,15 @@ impl Pipeline {
             let votes: Vec<bool> = rv.verdicts.iter().map(|v| v.alert).collect();
             let combined = self.adjudicate_at(rv.index, &votes);
             let mut was = false;
-            if rv.index >= self.acc_base {
-                let pos = (rv.index - self.acc_base) as usize;
-                was = self.acc_combined[pos];
-                self.acc_combined[pos] = combined;
+            // The report window opened at the last drain: entries before
+            // it were handed out and are past patching.
+            let acc_base = self.finalized - self.acc_combined.len() as u64;
+            if rv.index >= acc_base {
+                let pos = (rv.index - acc_base) as usize;
+                was = self.acc_combined.get(pos);
+                self.acc_combined.set(pos, combined);
                 for (acc, vote) in self.acc_members.iter_mut().zip(&votes) {
-                    acc[pos] = *vote;
+                    acc.set(pos, *vote);
                 }
             }
             if combined && !was {
@@ -217,24 +209,21 @@ impl Pipeline {
     /// Combines one entry's member votes under the rule that was in
     /// effect at its feed position: the last recorded install at or
     /// before the index, or the stream-start rule before any install.
-    fn adjudicate_at(&self, index: u64, votes: &[bool]) -> bool {
-        let vectors: Vec<AlertVector> = self
-            .names
-            .iter()
-            .zip(votes)
-            .map(|(name, vote)| AlertVector::from_bools(name, &[*vote]))
-            .collect();
-        let refs: Vec<&AlertVector> = vectors.iter().collect();
+    fn adjudicate_at(&mut self, index: u64, votes: &[bool]) -> bool {
+        // Between chunks the per-chunk vote vectors are free: one-entry
+        // scratch here, refilled by the next adjudication.
+        for (scratch, vote) in self.votes.iter_mut().zip(votes) {
+            scratch.refill([*vote]);
+        }
         let combined = match self.schedule.iter().rev().find(|u| u.at_entry <= index) {
-            Some(update) => WeightedVote::new(update.weights.clone(), update.threshold)
-                .expect("recorded updates hold validated parameters")
-                .apply(&refs),
-            None => match &self.initial_rule {
-                Rule::KOutOfN(rule) => rule.apply(&refs),
-                Rule::Weighted(rule) => rule.apply(&refs),
-            },
+            Some(update) => Rule::Weighted(
+                WeightedVote::new(update.weights.clone(), update.threshold)
+                    .expect("recorded updates hold validated parameters"),
+            )
+            .apply(&self.votes),
+            None => self.initial_rule.apply(&self.votes),
         };
-        combined.to_bools()[0]
+        combined.get(0)
     }
 
     /// Installs every queued rule change gating at or before `seq`.
@@ -244,21 +233,29 @@ impl Pipeline {
                 break;
             }
             let (_, rule) = self.pending_rules.pop_front().expect("front checked");
-            let (weights, threshold) = rule_parameters(&rule);
-            // A configured recalibrator adopts the manual override as
-            // its new base (evidence kept).
-            if let Some(recal) = &mut self.recalib {
-                recal.reseed(&weights, threshold);
-            }
-            self.rule = rule;
-            self.stats.updates.adjudication += 1;
-            self.schedule.push(AppliedRuleUpdate {
-                at_entry: self.finalized,
-                weights,
-                threshold,
-                provenance: RuleProvenance::Manual,
-            });
+            self.install_rule(rule, self.finalized, RuleProvenance::Manual);
         }
+    }
+
+    /// The one path every rule change takes — a manual install, the
+    /// recalibrator's weights, the controller's threshold — so a
+    /// recorded schedule replays bit-identically: `rule` governs from
+    /// entry `at_entry` on, a configured recalibrator adopts it as its
+    /// base (evidence kept; a no-op for weights it derived itself), and
+    /// the schedule records it in weighted form.
+    fn install_rule(&mut self, rule: Rule, at_entry: u64, provenance: RuleProvenance) {
+        let (weights, threshold) = rule_parameters(&rule);
+        if let Some(recal) = &mut self.recalib {
+            recal.reseed(&weights, threshold);
+        }
+        self.rule = rule;
+        self.stats.updates.adjudication += 1;
+        self.schedule.push(AppliedRuleUpdate {
+            at_entry,
+            weights,
+            threshold,
+            provenance,
+        });
     }
 
     /// Feeds one finalized chunk to the recalibrator — labeled evidence
@@ -266,31 +263,24 @@ impl Pipeline {
     /// (from [`Verdict::confidence`]) otherwise — and, when the cadence
     /// has elapsed, derives and installs a weight update taking effect
     /// at the **next** chunk boundary.
-    fn observe_for_recalibration(
-        &mut self,
-        block: &EntryBlock,
-        columns: &[Vec<Verdict>],
-        member_bools: &[Vec<bool>],
-    ) {
+    fn observe_for_recalibration(&mut self, block: &EntryBlock, columns: &[Vec<Verdict>]) {
         let Some(recal) = self.recalib.as_mut() else {
             return;
         };
         let mut labels = self.labels.as_mut();
         let base = self.finalized;
         let derived = {
-            let mut row = vec![false; member_bools.len()];
-            let mut confidence = vec![0.0f64; member_bools.len()];
+            let mut row = vec![false; self.votes.len()];
+            let mut confidence = vec![0.0f64; self.votes.len()];
             for i in 0..block.len() {
-                for (slot, member) in row.iter_mut().zip(member_bools) {
-                    *slot = member[i];
+                for (slot, member) in row.iter_mut().zip(&self.votes) {
+                    *slot = member.get(i);
                 }
                 // The oracle is the one consumer here that needs an
-                // owned entry; it is materialized lazily, and not at
-                // all without an oracle.
+                // owned entry; it is assembled lazily into the reused
+                // slot, and not at all without an oracle.
                 let label = labels.as_mut().and_then(|oracle| {
-                    let entry = LogEntry::parse(block.line(i))
-                        .expect("arena lines are stored only after a successful parse");
-                    oracle(base + i as u64, &entry)
+                    oracle(base + i as u64, block.fill_entry(i, &mut self.entry_slot))
                 });
                 match label {
                     Some(malicious) => recal.observe_labeled(&row, malicious),
@@ -309,18 +299,11 @@ impl Pipeline {
             }
         };
         if let Some(update) = derived {
-            self.rule = Rule::Weighted(
-                update
-                    .to_rule()
-                    .expect("recalibrator emits validated weights"),
-            );
-            self.stats.updates.adjudication += 1;
-            self.schedule.push(AppliedRuleUpdate {
-                at_entry: base + block.len() as u64,
-                weights: update.weights,
-                threshold: update.threshold,
-                provenance: RuleProvenance::LearnedWeights,
-            });
+            let rule = update
+                .to_rule()
+                .expect("recalibrator emits validated weights");
+            let next = base + block.len() as u64;
+            self.install_rule(Rule::Weighted(rule), next, RuleProvenance::LearnedWeights);
         }
         self.drain_drift_alarms();
     }
@@ -349,12 +332,12 @@ impl Pipeline {
     /// proposed alarm threshold at the **next** chunk boundary — the
     /// same install path (and schedule record) as every other rule
     /// change, so recorded-schedule replay stays bit-identical.
-    fn observe_for_threshold_control(&mut self, combined_bools: &[bool]) {
+    fn observe_for_threshold_control(&mut self, combined: &AlertVector) {
         let Some(ctrl) = self.thresholds.as_mut() else {
             return;
         };
-        for &alerted in combined_bools {
-            ctrl.observe(alerted);
+        for i in 0..combined.len() {
+            ctrl.observe(combined.get(i));
         }
         if !ctrl.due() {
             return;
@@ -363,22 +346,14 @@ impl Pipeline {
         let Some(next) = ctrl.propose(current) else {
             return;
         };
-        self.rule = Rule::Weighted(
-            WeightedVote::new(weights.clone(), next)
-                .expect("controller preserves validated weights and proposes a finite threshold"),
+        let rule = WeightedVote::new(weights, next)
+            .expect("controller preserves validated weights and proposes a finite threshold");
+        let at_entry = self.finalized + combined.len() as u64;
+        self.install_rule(
+            Rule::Weighted(rule),
+            at_entry,
+            RuleProvenance::LearnedThreshold,
         );
-        // A configured recalibrator adopts the new threshold as its
-        // base, exactly as for a manual install (evidence kept).
-        if let Some(recal) = &mut self.recalib {
-            recal.reseed(&weights, next);
-        }
-        self.stats.updates.adjudication += 1;
-        self.schedule.push(AppliedRuleUpdate {
-            at_entry: self.finalized + combined_bools.len() as u64,
-            weights,
-            threshold: next,
-            provenance: RuleProvenance::LearnedThreshold,
-        });
     }
 }
 

@@ -85,16 +85,18 @@ impl FlushClock {
         }
     }
 
-    /// Time left until the buffered entries come due: zero when they
-    /// already are, `None` while nothing is buffered — or nothing ever
-    /// comes due (an infinite deadline leaves no time a caller could
-    /// wait out).
-    pub(crate) fn remaining(&self) -> Option<Duration> {
+    /// Time left at `now` until the buffered entries come due: zero
+    /// when they already are, `None` while nothing is buffered — or
+    /// nothing ever comes due (an infinite deadline leaves no time a
+    /// caller could wait out).
+    pub(crate) fn remaining(&self, now: Instant) -> Option<Duration> {
         if self.max_delay == Duration::MAX {
             return None;
         }
-        self.oldest
-            .map(|oldest| self.max_delay.saturating_sub(oldest.elapsed()))
+        self.oldest.map(|oldest| {
+            self.max_delay
+                .saturating_sub(now.saturating_duration_since(oldest))
+        })
     }
 
     /// The arena was submitted (or discarded): returns how long its
@@ -122,11 +124,15 @@ mod tests {
     #[test]
     fn an_infinite_deadline_never_comes_due() {
         let mut clock = FlushClock::new(Duration::MAX);
-        assert_eq!(clock.remaining(), None, "nothing buffered");
+        assert_eq!(clock.remaining(Instant::now()), None, "nothing buffered");
         for buffered in 1..=4_096 {
             assert_ne!(clock.pushed(buffered), Cadence::Due);
         }
-        assert_eq!(clock.remaining(), None, "buffered, but never due");
+        assert_eq!(
+            clock.remaining(Instant::now()),
+            None,
+            "buffered, but never due"
+        );
         // The age is tracked all the same: fill-only is where it grows.
         std::thread::sleep(Duration::from_millis(1));
         assert!(clock.clear() >= Duration::from_millis(1));
@@ -136,14 +142,14 @@ mod tests {
     fn the_deadline_counts_from_the_oldest_push() {
         let mut clock = FlushClock::new(Duration::from_millis(2));
         assert_eq!(clock.pushed(1), Cadence::Tick);
-        assert!(clock.remaining().unwrap() <= Duration::from_millis(2));
+        assert!(clock.remaining(Instant::now()).unwrap() <= Duration::from_millis(2));
         std::thread::sleep(Duration::from_millis(3));
-        assert_eq!(clock.remaining(), Some(Duration::ZERO));
+        assert_eq!(clock.remaining(Instant::now()), Some(Duration::ZERO));
         assert_eq!(clock.pushed(2), Cadence::Due);
         // Still due until the engine says it submitted.
-        assert_eq!(clock.remaining(), Some(Duration::ZERO));
+        assert_eq!(clock.remaining(Instant::now()), Some(Duration::ZERO));
         assert!(clock.clear() >= Duration::from_millis(3));
-        assert_eq!(clock.remaining(), None);
+        assert_eq!(clock.remaining(Instant::now()), None);
         assert_eq!(clock.clear(), Duration::ZERO, "nothing was buffered");
     }
 

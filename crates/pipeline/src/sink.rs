@@ -318,7 +318,10 @@ fn render_line(slot: &mut String, alert: &Alert<'_>) -> String {
 /// behavior for an alerting stage. Closures qualify: any
 /// `FnMut(&Alert) + Send` is a sink.
 pub trait AlertSink: Send {
-    /// Called once per adjudicated alert.
+    /// Called once per adjudicated alert. `alert.entry` is a scratch the
+    /// pipeline re-assembles in place for every position it shows a
+    /// sink: valid only for this call — a sink that keeps the entry
+    /// clones it.
     fn on_alert(&mut self, alert: &Alert<'_>);
 
     /// Called at the end of every [`Pipeline::drain`](crate::Pipeline::drain),
@@ -330,12 +333,14 @@ pub trait AlertSink: Send {
     /// Called once per finalized entry this sink asked for through
     /// [`entry_policy`](Self::entry_policy) — alerting or not. The store
     /// sink records these so stored history can be re-adjudicated
-    /// offline; the default ignores them.
+    /// offline; the default ignores them. As in
+    /// [`on_alert`](Self::on_alert), `record.entry` is a scratch valid
+    /// only for this call — a sink that keeps it clones it.
     fn on_entry(&mut self, _record: &ScoredEntry<'_>) {}
 
     /// Which finalized entries [`on_entry`](Self::on_entry) is shown:
     /// none, those that alerted or drew a member's vote, or all of them.
-    /// The pipeline materializes an entry only when it alerted or some
+    /// The pipeline assembles an owned entry only when it alerted or some
     /// sink asked for it, so the default
     /// ([`RecordPolicy::AlertsOnly`]) keeps the common alert-only path
     /// free of the overhead, and a sink that skips quiet entries should

@@ -11,13 +11,15 @@ use std::ops::Range;
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use divscrape_pipeline::{Pipeline, PipelineReport, PipelineStats};
 
 /// The longest a shard driver parks waiting for input before ticking
 /// (publishing stats). It parks for less while its pipeline holds
-/// entries that are coming due — see [`park_for`].
+/// entries that are coming due ([`Pipeline::park_for`]) — which is what
+/// delivers a tenant's last lines when its traffic stops: no later line
+/// will push them out.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Lines between stats publications while input is flowing.
@@ -395,15 +397,6 @@ fn publish(pipeline: &Pipeline, parse_errors: u64, board: &Mutex<ShardPublished>
     slot.parse_errors = parse_errors;
 }
 
-/// The pipeline's clock tick, and how long the driver may park after
-/// it: until the buffered entries' flush deadline or the pool's next
-/// collection, never longer than [`TICK`]. This is what delivers a
-/// tenant's last lines when its traffic stops — no later line will push
-/// them out.
-fn park_for(pipeline: &mut Pipeline) -> Duration {
-    pipeline.poll().map_or(TICK, |due| due.min(TICK))
-}
-
 fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<ShardPublished>>) {
     let _close = CloseOnExit(&queue);
     let mut batch = Batch::default();
@@ -412,7 +405,7 @@ fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<Sh
     let mut park = TICK;
     loop {
         if !queue.take(&mut batch, park) {
-            park = park_for(&mut pipeline);
+            park = pipeline.park_for(Instant::now(), TICK);
             publish(&pipeline, parse_errors, &board);
             since_publish = 0;
             continue;
@@ -454,7 +447,7 @@ fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<Sh
             }
         }
         batch.recycle();
-        park = park_for(&mut pipeline);
+        park = pipeline.park_for(Instant::now(), TICK);
         if since_publish >= PUBLISH_EVERY {
             publish(&pipeline, parse_errors, &board);
             since_publish = 0;

@@ -6,13 +6,17 @@
 //! accumulator growth), so the budget here is counted per chunk, not
 //! per entry. Held for the paper's two-tool spine and for the full
 //! five-detector ensemble: every stock member runs on the borrowed path.
+//! Both run with a sink attached that reads the alerting entry, so the
+//! budget also covers what finalize does to show a sink its entry — on
+//! this traffic most entries alert, and a per-alert allocation is a
+//! per-entry one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use divscrape_detect::baselines::{RateLimiter, SignatureOnly};
 use divscrape_detect::{Arcane, Sentinel, TrapDetector};
-use divscrape_pipeline::{Adjudication, PipelineBuilder};
+use divscrape_pipeline::{Adjudication, Alert, PipelineBuilder};
 use divscrape_traffic::{generate, ScenarioConfig};
 
 /// Counts every allocation (fresh and growing) made by the whole
@@ -56,6 +60,9 @@ fn assert_warm_pass_is_sub_per_entry(what: &str, builder: PipelineBuilder, lines
     let entries = lines.len() as u64;
     let mut pipeline = builder
         .adjudication(Adjudication::k_of_n(1))
+        .sink(|alert: &Alert<'_>| {
+            std::hint::black_box((alert.entry.status(), alert.entry.user_agent()));
+        })
         .workers(1)
         .chunk_capacity(CHUNK)
         // A per-chunk budget needs a known chunk count: fill-only.
