@@ -6,12 +6,13 @@
 //! third-party tool can consume it), and the ground truth as a JSON-lines
 //! sidecar keyed by line number.
 //!
-//! The sidecar records are flat five-field JSON objects; serialization is
-//! hand-rolled here (see [`LabelRecord::to_json_string`]) so the dataset
-//! format carries no dependency beyond the standard library.
+//! The sidecar records are flat five-field JSON objects, written and
+//! read with the workspace's one JSON codec ([`divscrape_httplog::json`]).
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
+use divscrape_httplog::json::{push_json_string, Cursor, JsonError};
 use divscrape_httplog::{LogEntry, LogReader};
 use divscrape_traffic::{ActorClass, GroundTruth, LabelledLog};
 use serde::{Deserialize, Serialize};
@@ -35,196 +36,50 @@ impl LabelRecord {
     /// Renders the record as one compact JSON object, in stable field
     /// order: `{"index":..,"actor":"..","malicious":..,"client_id":..,"session_id":..}`.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"index\":");
-        out.push_str(&self.index.to_string());
-        out.push_str(",\"actor\":\"");
-        for c in self.actor.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push_str("\",\"malicious\":");
-        out.push_str(if self.malicious { "true" } else { "false" });
-        out.push_str(",\"client_id\":");
-        out.push_str(&self.client_id.to_string());
-        out.push_str(",\"session_id\":");
-        out.push_str(&self.session_id.to_string());
-        out.push('}');
+        let mut out = format!("{{\"index\":{},\"actor\":", self.index);
+        push_json_string(&mut out, &self.actor);
+        // Formatting into a String cannot fail.
+        let _ = write!(
+            out,
+            ",\"malicious\":{},\"client_id\":{},\"session_id\":{}}}",
+            self.malicious, self.client_id, self.session_id
+        );
         out
     }
 
     /// Parses a record rendered by [`to_json_string`](Self::to_json_string)
-    /// (fields may appear in any order; unknown fields are rejected).
+    /// (fields may appear in any order; unknown or repeated fields are
+    /// rejected).
     ///
     /// # Errors
     ///
     /// Returns a description of the first syntactic or semantic problem.
     pub fn from_json_str(s: &str) -> Result<Self, String> {
-        let mut index = None;
-        let mut actor = None;
-        let mut malicious = None;
-        let mut client_id = None;
-        let mut session_id = None;
-        for (key, value) in json::parse_flat_object(s)? {
-            match (key.as_str(), value) {
-                ("index", json::Scalar::Number(n)) => index = Some(n),
-                ("actor", json::Scalar::String(a)) => actor = Some(a),
-                ("malicious", json::Scalar::Bool(b)) => malicious = Some(b),
-                ("client_id", json::Scalar::Number(n)) => {
-                    client_id = Some(u32::try_from(n).map_err(|_| "client_id overflows u32")?);
-                }
-                ("session_id", json::Scalar::Number(n)) => {
-                    session_id = Some(u32::try_from(n).map_err(|_| "session_id overflows u32")?);
-                }
-                (other, _) => return Err(format!("unexpected or mistyped field `{other}`")),
+        Self::read(&mut Cursor::new(s)).map_err(|e| e.to_string())
+    }
+
+    fn read(c: &mut Cursor<'_>) -> Result<Self, JsonError> {
+        let (mut index, mut actor, mut malicious, mut client_id, mut session_id) =
+            (None, None, None, None, None);
+        let fields = ["index", "actor", "malicious", "client_id", "session_id"];
+        c.object(&fields, |c, field| {
+            match field {
+                0 => index = Some(c.uint()?),
+                1 => actor = Some(c.string()?.into_owned()),
+                2 => malicious = Some(c.bool()?),
+                3 => client_id = Some(c.uint()?),
+                _ => session_id = Some(c.uint()?),
             }
-        }
+            Ok(())
+        })?;
+        c.end()?;
         Ok(LabelRecord {
-            index: index.ok_or("missing field `index`")?,
-            actor: actor.ok_or("missing field `actor`")?,
-            malicious: malicious.ok_or("missing field `malicious`")?,
-            client_id: client_id.ok_or("missing field `client_id`")?,
-            session_id: session_id.ok_or("missing field `session_id`")?,
+            index: c.required(index, "index")?,
+            actor: c.required(actor, "actor")?,
+            malicious: c.required(malicious, "malicious")?,
+            client_id: c.required(client_id, "client_id")?,
+            session_id: c.required(session_id, "session_id")?,
         })
-    }
-}
-
-/// A minimal parser for flat JSON objects of scalars — all a label sidecar
-/// line ever contains.
-mod json {
-    /// A scalar JSON value.
-    pub enum Scalar {
-        /// A JSON string (escapes resolved).
-        String(String),
-        /// A non-negative integer.
-        Number(u64),
-        /// `true` / `false`.
-        Bool(bool),
-    }
-
-    /// Parses `{"key":scalar,..}` into key/value pairs.
-    pub fn parse_flat_object(s: &str) -> Result<Vec<(String, Scalar)>, String> {
-        let mut chars = s.trim().chars().peekable();
-        let mut pairs = Vec::new();
-        if chars.next() != Some('{') {
-            return Err("expected `{`".into());
-        }
-        skip_ws(&mut chars);
-        if chars.peek() == Some(&'}') {
-            chars.next();
-            return finish(chars, pairs);
-        }
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next() != Some(':') {
-                return Err(format!("expected `:` after key `{key}`"));
-            }
-            skip_ws(&mut chars);
-            let value = parse_scalar(&mut chars)?;
-            pairs.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => return finish(chars, pairs),
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-    }
-
-    fn finish(
-        mut chars: std::iter::Peekable<std::str::Chars<'_>>,
-        pairs: Vec<(String, Scalar)>,
-    ) -> Result<Vec<(String, Scalar)>, String> {
-        skip_ws(&mut chars);
-        if chars.next().is_some() {
-            return Err("trailing characters after object".into());
-        }
-        Ok(pairs)
-    }
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-        while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    ) -> Result<String, String> {
-        if chars.next() != Some('"') {
-            return Err("expected `\"`".into());
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('u') => {
-                        let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        out.push(char::from_u32(code).ok_or("bad unicode escape")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn parse_scalar(
-        chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    ) -> Result<Scalar, String> {
-        match chars.peek() {
-            Some('"') => Ok(Scalar::String(parse_string(chars)?)),
-            Some('t') | Some('f') => {
-                let word: String = std::iter::from_fn(|| {
-                    chars
-                        .peek()
-                        .filter(|c| c.is_ascii_alphabetic())
-                        .copied()
-                        .inspect(|_c| {
-                            chars.next();
-                        })
-                })
-                .collect();
-                match word.as_str() {
-                    "true" => Ok(Scalar::Bool(true)),
-                    "false" => Ok(Scalar::Bool(false)),
-                    other => Err(format!("unexpected literal `{other}`")),
-                }
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let digits: String = std::iter::from_fn(|| {
-                    chars
-                        .peek()
-                        .filter(|c| c.is_ascii_digit())
-                        .copied()
-                        .inspect(|_c| {
-                            chars.next();
-                        })
-                })
-                .collect();
-                digits
-                    .parse::<u64>()
-                    .map(Scalar::Number)
-                    .map_err(|e| format!("bad number `{digits}`: {e}"))
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
     }
 }
 
@@ -381,6 +236,43 @@ mod tests {
         assert_eq!(text.lines().count(), log.len());
         let first = LabelRecord::from_json_str(text.lines().next().unwrap()).unwrap();
         assert_eq!(first.index, 0);
+    }
+
+    /// A valid label line whose `field` holds the raw JSON `value`.
+    fn label_line(field: &str, value: &str) -> String {
+        let fields = [
+            ("index", "0"),
+            ("actor", "\"human\""),
+            ("malicious", "false"),
+            ("client_id", "1"),
+            ("session_id", "2"),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .map(|&(k, v)| format!("\"{k}\":{}", if k == field { value } else { v }))
+            .collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    #[test]
+    fn label_parser_rejects_malformed_records() {
+        for (field, value) in [
+            ("actor", r#""\u+041""#),
+            ("actor", r#""\ud83d""#),
+            ("index", "+5"),
+            ("index", "007"),
+            ("client_id", "4294967296"),
+            ("session_id", "2.0"),
+        ] {
+            let line = label_line(field, value);
+            let err = LabelRecord::from_json_str(&line).expect_err(&line);
+            assert!(err.contains("byte offset"), "{err}");
+        }
+        let duplicate = label_line("index", "1").replacen('{', "{\"index\":0,", 1);
+        assert!(LabelRecord::from_json_str(&duplicate).is_err());
+        // A surrogate pair, as an ASCII-escaping writer emits it.
+        let record = LabelRecord::from_json_str(&label_line("actor", r#""\ud83d\uded2""#));
+        assert_eq!(record.unwrap().actor, "🛒");
     }
 
     #[test]

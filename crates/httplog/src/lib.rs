@@ -21,6 +21,9 @@
 //! * [`LineFramer`] — incremental line framing for live byte streams
 //!   (file tails, sockets): chunk-boundary reassembly, bounded line
 //!   length, terminator/encoding normalization.
+//! * [`json`] — the workspace's one JSON codec: the escaper every sink
+//!   line is rendered through and the strict cursor every line is read
+//!   back with.
 //! * [`Cidr`] and [`ip`] helpers — IPv4 subnet utilities used by the traffic
 //!   generator (botnet address allocation) and detectors (reputation feeds).
 //!
@@ -46,6 +49,7 @@ mod error;
 mod framing;
 mod io;
 pub mod ip;
+pub mod json;
 mod method;
 mod path;
 mod request;

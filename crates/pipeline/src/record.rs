@@ -10,9 +10,10 @@
 use std::net::Ipv4Addr;
 
 use divscrape_detect::TenantId;
+use divscrape_httplog::json::{push_json_escaped, Cursor, JsonError};
 use divscrape_httplog::{LogEntry, ParseLogError};
 
-use crate::sink::{push_display, push_head, push_ipv4, push_json_escaped, push_scores, push_votes};
+use crate::sink::{push_display, push_head, push_ipv4, push_scores, push_votes};
 
 /// Why a JSON alert/score line failed to parse.
 ///
@@ -23,14 +24,11 @@ use crate::sink::{push_display, push_head, push_ipv4, push_json_escaped, push_sc
 /// assert!(err.to_string().contains("offset"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlertParseError {
-    message: String,
-    at: usize,
-}
+pub struct AlertParseError(JsonError);
 
 impl std::fmt::Display for AlertParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} (byte offset {})", self.message, self.at)
+        self.0.fmt(f)
     }
 }
 
@@ -144,7 +142,7 @@ impl ScoreRecord {
     /// Returns [`AlertParseError`] on malformed JSON, unknown fields or
     /// missing required fields.
     pub fn from_json(json: &str) -> Result<Self, AlertParseError> {
-        Parser::new(json).parse_score_record()
+        score_record(&mut Cursor::new(json)).map_err(AlertParseError)
     }
 
     /// Renders the record back to the exact
@@ -176,318 +174,78 @@ impl ScoreRecord {
 }
 
 pub(crate) fn parse_alert_record(json: &str) -> Result<AlertRecord, AlertParseError> {
-    Parser::new(json).parse_alert_record()
+    alert_record(&mut Cursor::new(json)).map_err(AlertParseError)
 }
 
-/// A strict, allocation-light parser for the two sink line formats.
-/// Accepts fields in any order but rejects unknown fields, duplicate
-/// syntax errors and trailing garbage.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(json: &'a str) -> Self {
-        Self {
-            bytes: json.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, AlertParseError> {
-        Err(AlertParseError {
-            message: message.into(),
-            at: self.pos,
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), AlertParseError> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", b as char))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, AlertParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            let Some(code) = hex.and_then(char::from_u32) else {
-                                return self.err("bad \\u escape");
-                            };
-                            out.push(code);
-                            self.pos += 4;
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str,
-                    // so boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .expect("input was a valid &str");
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number_token(&mut self) -> Result<&'a str, AlertParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return self.err("expected a number");
-        }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number token"))
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, AlertParseError> {
-        let token = self.number_token()?;
-        match token.parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.err(format!("bad integer '{token}'")),
-        }
-    }
-
-    fn parse_u16(&mut self) -> Result<u16, AlertParseError> {
-        let token = self.number_token()?;
-        match token.parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.err(format!("bad status '{token}'")),
-        }
-    }
-
-    fn parse_f32(&mut self) -> Result<f32, AlertParseError> {
-        let token = self.number_token()?;
-        match token.parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.err(format!("bad score '{token}'")),
-        }
-    }
-
-    fn parse_bool(&mut self) -> Result<bool, AlertParseError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            self.err("expected true/false")
-        }
-    }
-
-    fn parse_array<T>(
-        &mut self,
-        mut element: impl FnMut(&mut Self) -> Result<T, AlertParseError>,
-    ) -> Result<Vec<T>, AlertParseError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(element(self)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    /// Drives `{ "key": value, ... }` iteration, calling `field` per key.
-    fn parse_object(
-        &mut self,
-        mut field: impl FnMut(&mut Self, &str) -> Result<(), AlertParseError>,
-    ) -> Result<(), AlertParseError> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                field(self, &key)?;
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return self.err("expected ',' or '}'"),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return self.err("trailing data after object");
+/// Reads one alert line: fields in any order, none unknown or repeated.
+fn alert_record(c: &mut Cursor<'_>) -> Result<AlertRecord, JsonError> {
+    let (mut index, mut tenant, mut time, mut client, mut agent) = (None, None, None, None, None);
+    let (mut method, mut path, mut status, mut votes, mut scores) = (None, None, None, None, None);
+    let fields = [
+        "index", "tenant", "time", "client", "agent", "method", "path", "status", "votes", "scores",
+    ];
+    c.object(&fields, |c, field| {
+        match field {
+            0 => index = Some(c.uint()?),
+            1 => tenant = Some(TenantId::new(c.string()?)),
+            2 => time = Some(c.string()?.into_owned()),
+            3 => client = Some(c.string_as()?),
+            4 => agent = Some(c.string()?.into_owned()),
+            5 => method = Some(c.string()?.into_owned()),
+            6 => path = Some(c.string()?.into_owned()),
+            7 => status = Some(c.uint()?),
+            8 => votes = Some(c.array(Cursor::bool)?),
+            _ => scores = Some(c.array(Cursor::f32)?),
         }
         Ok(())
-    }
+    })?;
+    c.end()?;
+    Ok(AlertRecord {
+        index: c.required(index, "index")?,
+        tenant,
+        time: c.required(time, "time")?,
+        client: c.required(client, "client")?,
+        agent: c.required(agent, "agent")?,
+        method: c.required(method, "method")?,
+        path: c.required(path, "path")?,
+        status: c.required(status, "status")?,
+        votes: c.required(votes, "votes")?,
+        scores: c.required(scores, "scores")?,
+    })
+}
 
-    fn parse_alert_record(&mut self) -> Result<AlertRecord, AlertParseError> {
-        let mut index = None;
-        let mut tenant = None;
-        let mut time = None;
-        let mut client = None;
-        let mut agent = None;
-        let mut method = None;
-        let mut path = None;
-        let mut status = None;
-        let mut votes = None;
-        let mut scores = None;
-        self.parse_object(|p, key| {
-            match key {
-                "index" => index = Some(p.parse_u64()?),
-                "tenant" => tenant = Some(TenantId::new(p.parse_string()?)),
-                "time" => time = Some(p.parse_string()?),
-                "client" => {
-                    let raw = p.parse_string()?;
-                    match raw.parse() {
-                        Ok(ip) => client = Some(ip),
-                        Err(_) => return p.err(format!("bad client address '{raw}'")),
-                    }
-                }
-                "agent" => agent = Some(p.parse_string()?),
-                "method" => method = Some(p.parse_string()?),
-                "path" => path = Some(p.parse_string()?),
-                "status" => status = Some(p.parse_u16()?),
-                "votes" => votes = Some(p.parse_array(Self::parse_bool)?),
-                "scores" => scores = Some(p.parse_array(Self::parse_f32)?),
-                other => return p.err(format!("unknown alert field '{other}'")),
-            }
-            Ok(())
-        })?;
-        let require = |name: &str, missing: bool| {
-            if missing {
-                self.err::<()>(format!("missing field '{name}'"))
-            } else {
-                Ok(())
-            }
-        };
-        require("index", index.is_none())?;
-        require("time", time.is_none())?;
-        require("client", client.is_none())?;
-        require("agent", agent.is_none())?;
-        require("method", method.is_none())?;
-        require("path", path.is_none())?;
-        require("status", status.is_none())?;
-        require("votes", votes.is_none())?;
-        require("scores", scores.is_none())?;
-        Ok(AlertRecord {
-            index: index.expect("checked"),
-            tenant,
-            time: time.expect("checked"),
-            client: client.expect("checked"),
-            agent: agent.expect("checked"),
-            method: method.expect("checked"),
-            path: path.expect("checked"),
-            status: status.expect("checked"),
-            votes: votes.expect("checked"),
-            scores: scores.expect("checked"),
-        })
-    }
-
-    fn parse_score_record(&mut self) -> Result<ScoreRecord, AlertParseError> {
-        let mut index = None;
-        let mut tenant = None;
-        let mut alerted = None;
-        let mut votes = None;
-        let mut scores = None;
-        let mut line = None;
-        self.parse_object(|p, key| {
-            match key {
-                "index" => index = Some(p.parse_u64()?),
-                "tenant" => tenant = Some(TenantId::new(p.parse_string()?)),
-                "alerted" => alerted = Some(p.parse_bool()?),
-                "votes" => votes = Some(p.parse_array(Self::parse_bool)?),
-                "scores" => scores = Some(p.parse_array(Self::parse_f32)?),
-                "line" => line = Some(p.parse_string()?),
-                other => return p.err(format!("unknown score field '{other}'")),
-            }
-            Ok(())
-        })?;
-        let require = |name: &str, missing: bool| {
-            if missing {
-                self.err::<()>(format!("missing field '{name}'"))
-            } else {
-                Ok(())
-            }
-        };
-        require("index", index.is_none())?;
-        require("alerted", alerted.is_none())?;
-        require("votes", votes.is_none())?;
-        require("scores", scores.is_none())?;
-        require("line", line.is_none())?;
-        Ok(ScoreRecord {
-            index: index.expect("checked"),
-            tenant,
-            alerted: alerted.expect("checked"),
-            votes: votes.expect("checked"),
-            scores: scores.expect("checked"),
-            line: line.expect("checked"),
-        })
-    }
+/// Reads one score line, as strictly as [`alert_record`].
+fn score_record(c: &mut Cursor<'_>) -> Result<ScoreRecord, JsonError> {
+    let (mut index, mut tenant, mut alerted, mut votes, mut scores, mut line) =
+        (None, None, None, None, None, None);
+    let fields = ["index", "tenant", "alerted", "votes", "scores", "line"];
+    c.object(&fields, |c, field| {
+        match field {
+            0 => index = Some(c.uint()?),
+            1 => tenant = Some(TenantId::new(c.string()?)),
+            2 => alerted = Some(c.bool()?),
+            3 => votes = Some(c.array(Cursor::bool)?),
+            4 => scores = Some(c.array(Cursor::f32)?),
+            _ => line = Some(c.string()?.into_owned()),
+        }
+        Ok(())
+    })?;
+    c.end()?;
+    Ok(ScoreRecord {
+        index: c.required(index, "index")?,
+        tenant,
+        alerted: c.required(alerted, "alerted")?,
+        votes: c.required(votes, "votes")?,
+        scores: c.required(scores, "scores")?,
+        line: c.required(line, "line")?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::Alert;
+    use divscrape_httplog::json::JsonErrorKind;
 
     fn entry() -> LogEntry {
         LogEntry::parse(
@@ -550,6 +308,54 @@ mod tests {
         ] {
             assert!(Alert::from_json(bad).is_err(), "accepted: {bad}");
         }
+        // Signs on `\u` digits and numbers, leading zeros, lone
+        // surrogates, out-of-range statuses: no JSON writer emits them.
+        for (field, value) in [
+            ("agent", r#""\u+041""#),
+            ("index", "+5"),
+            ("index", "007"),
+            ("status", "+200"),
+            ("status", "70000"),
+            ("agent", r#""\ud83d""#),
+            ("agent", r#""\udc00\ud83d""#),
+        ] {
+            let line = alert_line(field, value);
+            let err = Alert::from_json(&line).expect_err(&line);
+            assert!(err.to_string().contains("byte offset"), "{err}");
+        }
+        let duplicate = alert_line("index", "1").replacen('{', "{\"index\":0,", 1);
+        assert_eq!(
+            Alert::from_json(&duplicate).unwrap_err().0.kind,
+            JsonErrorKind::DuplicateKey
+        );
+    }
+
+    /// A valid alert line whose `field` holds the raw JSON `value`.
+    fn alert_line(field: &str, value: &str) -> String {
+        let fields = [
+            ("index", "0"),
+            ("time", "\"t\""),
+            ("client", "\"10.0.0.1\""),
+            ("agent", "\"a\""),
+            ("method", "\"GET\""),
+            ("path", "\"/\""),
+            ("status", "200"),
+            ("votes", "[]"),
+            ("scores", "[]"),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .map(|&(k, v)| format!("\"{k}\":{}", if k == field { value } else { v }))
+            .collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    /// Python's `json.dumps` escapes a 🛒 in a user agent as a surrogate
+    /// pair; a collector that re-serializes our lines writes exactly this.
+    #[test]
+    fn parser_decodes_surrogate_pairs() {
+        let record = Alert::from_json(&alert_line("agent", r#""cart \ud83d\uded2""#)).unwrap();
+        assert_eq!(record.agent, "cart 🛒");
     }
 
     #[test]

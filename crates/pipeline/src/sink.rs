@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use divscrape_detect::TenantId;
+use divscrape_httplog::json::{push_json_escaped, JsonEscaped};
 use divscrape_httplog::LogEntry;
 use divscrape_store::{SpoolQueue, StoreConfig};
 
@@ -252,50 +253,6 @@ impl ScoredEntry<'_> {
         let _ = write!(JsonEscaped(out), "{}", self.entry);
         out.push_str("\"}");
     }
-}
-
-/// A formatter target that JSON-escapes whatever is written through it.
-struct JsonEscaped<'a>(&'a mut String);
-
-impl std::fmt::Write for JsonEscaped<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        push_json_escaped(self.0, s);
-        Ok(())
-    }
-}
-
-/// Appends `s` to `out` with JSON string escaping: runs of bytes that
-/// need none are copied whole.
-pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    // Every byte escaped is ASCII, so each cut falls on a char boundary.
-    let mut clean = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let control;
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x00..=0x1f => {
-                control = [
-                    b'\\',
-                    b'u',
-                    b'0',
-                    b'0',
-                    HEX[usize::from(b >> 4)],
-                    HEX[usize::from(b & 0xf)],
-                ];
-                std::str::from_utf8(&control).expect("an ASCII escape")
-            }
-            _ => continue,
-        };
-        out.push_str(&s[clean..i]);
-        out.push_str(escape);
-        clean = i + 1;
-    }
-    out.push_str(&s[clean..]);
 }
 
 /// Renders `alert` plus a newline into the sink's reused line buffer,
@@ -1246,16 +1203,6 @@ mod tests {
                 assert_eq!(out, addr.to_string());
             }
         }
-    }
-
-    #[test]
-    fn escaper_copies_clean_runs_and_escapes_the_rest() {
-        let mut out = String::from("kept:");
-        push_json_escaped(&mut out, "plain \"q\" \\ \n\r\t \u{0}\u{1f} é🛒\u{7f} end");
-        assert_eq!(
-            out,
-            "kept:plain \\\"q\\\" \\\\ \\n\\r\\t \\u0000\\u001f é🛒\u{7f} end"
-        );
     }
 
     #[test]

@@ -25,8 +25,9 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use divscrape_detect::TenantId;
+use divscrape_httplog::json::push_json_string;
 
-use crate::plane::{push_json_string, ServicePlane};
+use crate::plane::ServicePlane;
 
 /// How often the accept loop and connection readers check the stop
 /// flag.

@@ -2,16 +2,17 @@
 //! cloneable routing handle.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use divscrape_detect::TenantId;
+use divscrape_httplog::json::push_json_string;
 use divscrape_pipeline::{
     BuildError, PipelineBuilder, PipelineReport, PipelineStats, RuntimeUpdates,
 };
 
-use crate::shard::{shard_of, Offer, ShardHandle, ShardMsg, ShardSender};
+use crate::shard::{shard_of, Offer, ShardFinal, ShardHandle, ShardMsg, ShardSender};
 
 /// Default per-shard queue depth (messages buffered between a source
 /// pump and the shard driver).
@@ -110,6 +111,25 @@ struct Departed {
     deadline_flushes: u64,
     /// A high-water mark, so departed shards fold in by `max`.
     max_buffered_age_us: u64,
+}
+
+impl Departed {
+    /// Adds one stopped shard's lifetime counters.
+    fn fold(&mut self, fin: &ShardFinal) {
+        let stats = &fin.stats;
+        self.entries += stats.entries_processed;
+        self.alerts += stats.alerts;
+        self.parse_errors += fin.parse_errors;
+        self.updates.eviction += stats.runtime_updates.eviction;
+        self.updates.adjudication += stats.runtime_updates.adjudication;
+        self.triage_escalations += stats.triage_escalations;
+        self.triage_suppressed += stats.triage_suppressed_entries;
+        self.triage_replayed += stats.triage_replayed_entries;
+        self.triage_spilled += stats.triage_spilled_entries;
+        self.drift_alarms += stats.drift_alarms;
+        self.deadline_flushes += stats.deadline_flushes;
+        self.max_buffered_age_us = self.max_buffered_age_us.max(stats.max_buffered_age_us);
+    }
 }
 
 struct TenantRuntime {
@@ -624,42 +644,11 @@ impl ServicePlane {
             registry.remove(at)
         };
         let mut reports = Vec::with_capacity(runtime.shards.len());
-        let mut parting = Departed::default();
         for shard in runtime.shards {
             if let Some(fin) = shard.stop() {
-                parting.entries += fin.stats.entries_processed;
-                parting.alerts += fin.stats.alerts;
-                parting.parse_errors += fin.parse_errors;
-                parting.updates.eviction += fin.stats.runtime_updates.eviction;
-                parting.updates.adjudication += fin.stats.runtime_updates.adjudication;
-                parting.triage_escalations += fin.stats.triage_escalations;
-                parting.triage_suppressed += fin.stats.triage_suppressed_entries;
-                parting.triage_replayed += fin.stats.triage_replayed_entries;
-                parting.triage_spilled += fin.stats.triage_spilled_entries;
-                parting.drift_alarms += fin.stats.drift_alarms;
-                parting.deadline_flushes += fin.stats.deadline_flushes;
-                parting.max_buffered_age_us = parting
-                    .max_buffered_age_us
-                    .max(fin.stats.max_buffered_age_us);
+                self.lock_departed().fold(&fin);
                 reports.push(fin.report);
             }
-        }
-        {
-            let mut departed = self.lock_departed();
-            departed.entries += parting.entries;
-            departed.alerts += parting.alerts;
-            departed.parse_errors += parting.parse_errors;
-            departed.updates.eviction += parting.updates.eviction;
-            departed.updates.adjudication += parting.updates.adjudication;
-            departed.triage_escalations += parting.triage_escalations;
-            departed.triage_suppressed += parting.triage_suppressed;
-            departed.triage_replayed += parting.triage_replayed;
-            departed.triage_spilled += parting.triage_spilled;
-            departed.drift_alarms += parting.drift_alarms;
-            departed.deadline_flushes += parting.deadline_flushes;
-            departed.max_buffered_age_us = departed
-                .max_buffered_age_us
-                .max(parting.max_buffered_age_us);
         }
         self.rebalance_eviction();
         Some(reports)
@@ -1211,109 +1200,65 @@ impl ServiceStats {
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.tenants.len() * 160);
-        out.push('{');
-        push_field(&mut out, "entries_processed", self.entries_processed);
-        out.push(',');
-        push_field(&mut out, "entries_pending", self.entries_pending as u64);
-        out.push(',');
-        push_field(&mut out, "alerts", self.alerts);
-        out.push(',');
-        push_field(&mut out, "inflight_chunks", self.inflight_chunks as u64);
-        out.push(',');
-        push_field(
-            &mut out,
-            "live_clients_aggregate",
-            self.live_clients_aggregate as u64,
+        // Formatting into a String cannot fail.
+        let _ = write!(
+            out,
+            "{{\"entries_processed\":{},\"entries_pending\":{},\"alerts\":{},\
+             \"inflight_chunks\":{},\"live_clients_aggregate\":{},\"parse_errors\":{},\
+             \"routed_lines\":{},\"dropped_lines\":{},\"unrouted_lines\":{},\"eviction_budget\":",
+            self.entries_processed,
+            self.entries_pending,
+            self.alerts,
+            self.inflight_chunks,
+            self.live_clients_aggregate,
+            self.parse_errors,
+            self.routed_lines,
+            self.dropped_lines,
+            self.unrouted_lines,
         );
-        out.push(',');
-        push_field(&mut out, "parse_errors", self.parse_errors);
-        out.push(',');
-        push_field(&mut out, "routed_lines", self.routed_lines);
-        out.push(',');
-        push_field(&mut out, "dropped_lines", self.dropped_lines);
-        out.push(',');
-        push_field(&mut out, "unrouted_lines", self.unrouted_lines);
-        out.push_str(",\"eviction_budget\":");
         match self.eviction_budget {
-            Some(budget) => out.push_str(&budget.to_string()),
+            Some(budget) => _ = write!(out, "{budget}"),
             None => out.push_str("null"),
         }
-        out.push_str(",\"runtime_updates\":{");
-        push_field(&mut out, "eviction", self.runtime_updates.eviction);
-        out.push(',');
-        push_field(&mut out, "adjudication", self.runtime_updates.adjudication);
-        out.push_str("},\"triage\":{");
-        push_field(&mut out, "escalations", self.triage_escalations);
-        out.push(',');
-        push_field(&mut out, "suppressed", self.triage_suppressed_entries);
-        out.push(',');
-        push_field(&mut out, "replayed", self.triage_replayed_entries);
-        out.push(',');
-        push_field(&mut out, "spilled", self.triage_spilled_entries);
-        out.push_str("},");
-        push_field(&mut out, "drift_alarms", self.drift_alarms);
-        out.push(',');
-        push_field(&mut out, "deadline_flushes", self.deadline_flushes);
-        out.push(',');
-        push_field(&mut out, "max_buffered_age_us", self.max_buffered_age_us);
-        out.push_str(",\"tenants\":[");
+        let _ = write!(
+            out,
+            ",\"runtime_updates\":{{\"eviction\":{},\"adjudication\":{}}},\
+             \"triage\":{{\"escalations\":{},\"suppressed\":{},\"replayed\":{},\"spilled\":{}}},\
+             \"drift_alarms\":{},\"deadline_flushes\":{},\"max_buffered_age_us\":{},\"tenants\":[",
+            self.runtime_updates.eviction,
+            self.runtime_updates.adjudication,
+            self.triage_escalations,
+            self.triage_suppressed_entries,
+            self.triage_replayed_entries,
+            self.triage_spilled_entries,
+            self.drift_alarms,
+            self.deadline_flushes,
+            self.max_buffered_age_us,
+        );
         for (i, tenant) in self.tenants.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"tenant\":");
             push_json_string(&mut out, tenant.tenant.as_str());
-            out.push(',');
-            push_field(&mut out, "shards", tenant.shards.len() as u64);
-            out.push(',');
-            push_field(&mut out, "entries_processed", tenant.entries_processed());
-            out.push(',');
-            push_field(&mut out, "alerts", tenant.alerts());
-            out.push(',');
-            push_field(&mut out, "live_clients", tenant.live_clients() as u64);
-            out.push(',');
-            push_field(&mut out, "parse_errors", tenant.parse_errors);
             let (escalations, suppressed, replayed, spilled) = tenant.triage_counters();
-            out.push_str(",\"triage\":{");
-            push_field(&mut out, "escalations", escalations);
-            out.push(',');
-            push_field(&mut out, "suppressed", suppressed);
-            out.push(',');
-            push_field(&mut out, "replayed", replayed);
-            out.push(',');
-            push_field(&mut out, "spilled", spilled);
-            out.push_str("},\"frozen\":");
-            out.push_str(if tenant.frozen { "true" } else { "false" });
-            out.push('}');
+            let _ = write!(
+                out,
+                ",\"shards\":{},\"entries_processed\":{},\"alerts\":{},\"live_clients\":{},\
+                 \"parse_errors\":{},\"triage\":{{\"escalations\":{escalations},\
+                 \"suppressed\":{suppressed},\"replayed\":{replayed},\"spilled\":{spilled}}},\
+                 \"frozen\":{}}}",
+                tenant.shards.len(),
+                tenant.entries_processed(),
+                tenant.alerts(),
+                tenant.live_clients(),
+                tenant.parse_errors,
+                tenant.frozen,
+            );
         }
         out.push_str("]}");
         out
     }
-}
-
-fn push_field(out: &mut String, name: &str, value: u64) {
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-pub(crate) fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl Drop for PlaneShared {

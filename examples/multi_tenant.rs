@@ -23,13 +23,13 @@
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use divscrape_detect::{Arcane, Sentinel};
 use divscrape_ingest::{SocketSource, SocketSourceConfig};
-use divscrape_pipeline::{Adjudication, PipelineBuilder, TcpSink, TenantId};
+use divscrape_pipeline::{Adjudication, Alert, PipelineBuilder, TcpSink, TenantId};
 use divscrape_service::{PumpMode, ServicePlane, SourcePump};
 use divscrape_traffic::{generate, LabelledLog, ScenarioConfig};
 
@@ -43,14 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         Some(other) => Err(format!("unknown argument `{other}` (try --help)").into()),
     }
-}
-
-/// Pulls a string field out of one alert JSON line (the alert format is
-/// flat, so a plain scan suffices for the smoke check).
-fn json_field<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    Some(&line[start..start + line[start..].find('"')?])
 }
 
 fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
@@ -198,27 +190,28 @@ fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
     // Gate 3: every collected alert is attributable and consistent:
     // tagged with a served tenant, and its client belongs to that
     // tenant's own stream.
-    let clients_of = |log: &LabelledLog| -> HashSet<String> {
-        log.entries().iter().map(|e| e.addr().to_string()).collect()
+    let clients_of = |log: &LabelledLog| -> HashSet<Ipv4Addr> {
+        log.entries().iter().map(|e| e.addr()).collect()
     };
     let eu_clients = clients_of(&eu_log);
     let us_clients = clients_of(&us_log);
     let mut tagged_counts = (0u64, 0u64);
     for line in &received {
-        let tenant = json_field(line, "tenant").expect("alert without tenant tag");
-        let client = json_field(line, "client").expect("alert without client");
-        match tenant {
+        let alert = Alert::from_json(line)?;
+        let tenant = alert.tenant.expect("alert without tenant tag");
+        let client = alert.client;
+        match tenant.as_str() {
             "shop-eu" => {
                 tagged_counts.0 += 1;
                 assert!(
-                    eu_clients.contains(client),
+                    eu_clients.contains(&client),
                     "alert for {eu} names a client it never saw: {client}"
                 );
             }
             "shop-us" => {
                 tagged_counts.1 += 1;
                 assert!(
-                    us_clients.contains(client),
+                    us_clients.contains(&client),
                     "alert for {us} names a client it never saw: {client}"
                 );
             }

@@ -29,7 +29,9 @@ use std::time::{Duration, Instant};
 
 use divscrape_detect::{Arcane, Sentinel};
 use divscrape_ingest::{SocketSource, SocketSourceConfig, UdpSource, UdpSourceConfig};
-use divscrape_pipeline::{Adjudication, MuxCollector, PipelineBuilder, TenantId};
+use divscrape_pipeline::{
+    Adjudication, Alert, AlertParseError, MuxCollector, PipelineBuilder, TenantId,
+};
 use divscrape_service::{AdminServer, IngestOutcome, PumpMode, ServicePlane, SourcePump};
 use divscrape_traffic::{generate, ScenarioConfig};
 
@@ -82,14 +84,6 @@ impl AdminClient {
         }
         Ok(reply.trim_end().to_owned())
     }
-}
-
-/// Pulls a string field out of one alert JSON line (the alert format is
-/// flat, so a plain scan suffices for the smoke check).
-fn json_field<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    Some(&line[start..start + line[start..].find('"')?])
 }
 
 fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
@@ -310,11 +304,15 @@ fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
         )
         .into());
     }
-    let tagged = |name: &str| {
-        wire.iter()
-            .filter(|l| json_field(l, "tenant") == Some(name))
-            .count() as u64
-    };
+    let tags = wire
+        .iter()
+        .map(|line| {
+            Ok(Alert::from_json(line)?
+                .tenant
+                .map(|t| t.as_str().to_owned()))
+        })
+        .collect::<Result<Vec<_>, AlertParseError>>()?;
+    let tagged = |name: &str| tags.iter().filter(|t| t.as_deref() == Some(name)).count() as u64;
     if tagged("udp-edge") != udp_tel.written() || tagged("udp-edge") != udp_alerts {
         return Err(format!(
             "udp-edge tag/telemetry drift: {} on the wire, {} in telemetry, {} alerts",
@@ -333,14 +331,9 @@ fn run_smoke() -> Result<(), Box<dyn std::error::Error>> {
         )
         .into());
     }
-    let stray = wire
+    let stray = tags
         .iter()
-        .filter(|l| {
-            !matches!(
-                json_field(l, "tenant"),
-                Some("udp-edge" | "tcp-edge" | "popup")
-            )
-        })
+        .filter(|t| !matches!(t.as_deref(), Some("udp-edge" | "tcp-edge" | "popup")))
         .count();
     if stray != 0 {
         return Err(format!("{stray} collector lines carry an unknown tenant tag").into());
