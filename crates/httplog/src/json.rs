@@ -467,7 +467,7 @@ mod tests {
         r#"{"index":3,"tenant":"shop-eu","time":"11/Mar/2018:06:25:14 +0000","client":"198.51.100.7","agent":"weird \\\"agent\\\" \u0001 é🛒","method":"GET","path":"/search?q=NCE","status":403,"votes":[true,false],"scores":[1.00,0.25]}"#,
         r#"{"index":0,"alerted":false,"votes":[false],"scores":[0.10],"line":"198.51.100.7 - - [11/Mar/2018:06:25:14 +0000] \"GET / HTTP/1.1\" 200 5 \"-\" \"curl/7.58.0\""}"#,
         r#"{"index":0,"actor":"stealth-scraper","malicious":true,"client_id":17,"session_id":3}"#,
-        r#"{"entries_processed":30,"entries_pending":0,"alerts":4,"inflight_chunks":0,"live_clients_aggregate":6,"parse_errors":1,"routed_lines":31,"dropped_lines":0,"unrouted_lines":0,"eviction_budget":512,"runtime_updates":{"eviction":1,"adjudication":0},"triage":{"escalations":0,"suppressed":0,"replayed":0,"spilled":0},"drift_alarms":0,"deadline_flushes":2,"max_buffered_age_us":10113,"tenants":[{"tenant":"shop \"quoted\"","shards":2,"entries_processed":30,"alerts":4,"live_clients":6,"parse_errors":1,"triage":{"escalations":0,"suppressed":0,"replayed":0,"spilled":0},"frozen":false}]}"#,
+        r#"{"entries_processed":30,"entries_pending":0,"alerts":4,"inflight_chunks":0,"live_clients_aggregate":6,"parse_errors":1,"routed_lines":31,"dropped_lines":0,"unrouted_lines":0,"eviction_budget":512,"runtime_updates":{"eviction":1,"adjudication":0},"triage":{"escalations":0,"suppressed":0,"replayed":0,"spilled":0},"drift_alarms":0,"idle_flushes":9,"deadline_flushes":2,"max_buffered_age_us":10113,"tenants":[{"tenant":"shop \"quoted\"","shards":2,"entries_processed":30,"alerts":4,"live_clients":6,"parse_errors":1,"triage":{"escalations":0,"suppressed":0,"replayed":0,"spilled":0},"frozen":false}]}"#,
     ];
 
     /// Every key of the four formats.
@@ -507,6 +507,7 @@ mod tests {
         "replayed",
         "spilled",
         "drift_alarms",
+        "idle_flushes",
         "deadline_flushes",
         "max_buffered_age_us",
         "tenants",

@@ -309,11 +309,14 @@ impl IngestDriver {
 
     /// Sets the source poll timeout — the upper bound on how long a stop
     /// request can go unnoticed while the source is quiet (default
-    /// 25ms). The driver waits for less while the pipeline holds entries
-    /// that are coming due
-    /// ([`max_delay`](divscrape_pipeline::PipelineBuilder::max_delay)),
-    /// so a source that goes quiet still has its last lines adjudicated
-    /// on time.
+    /// 25ms). Before each such wait the driver hands the pipeline what
+    /// it pushed ([`Pipeline::park_for`]: group commit), so a source
+    /// that goes quiet has its last lines adjudicated before the driver
+    /// parks, not a tick or a deadline later.
+    /// [`max_delay`](divscrape_pipeline::PipelineBuilder::max_delay)
+    /// only bounds callers that push and never park; here it matters
+    /// only while the source never runs dry. The driver waits for less
+    /// than the tick while chunks are in flight on the pipeline's pool.
     #[must_use]
     pub fn tick(mut self, tick: Duration) -> Self {
         self.tick = tick.max(Duration::from_millis(1));
@@ -484,7 +487,6 @@ impl IngestDriver {
     ) -> Result<EndReason, IngestError> {
         let mut uncommitted: u64 = 0;
         let mut scratch = String::new();
-        let mut now = Instant::now();
         loop {
             if self.stop.swap(false, Ordering::AcqRel) {
                 return Ok(EndReason::Stopped);
@@ -492,22 +494,29 @@ impl IngestDriver {
             if self.stats.lines_read.is_multiple_of(1024) {
                 self.sample_backlog(tail);
             }
-            let wait = self.pipeline.park_for(now, self.tick);
-            let polled = Instant::now();
             let mut commit_due = false;
-            let event = tail
-                .poll_ref(wait, &mut scratch)
+            // Group commit, as in `pump`.
+            let mut event = tail
+                .poll_ref(Duration::ZERO, &mut scratch)
                 .map_err(IngestError::Source)?;
-            now = Instant::now();
+            if matches!(event, SourceEventRef::Idle) {
+                let wait = self.pipeline.park_for(self.tick);
+                let polled = Instant::now();
+                event = tail
+                    .poll_ref(wait, &mut scratch)
+                    .map_err(IngestError::Source)?;
+                if matches!(event, SourceEventRef::Idle) {
+                    self.stats.source_wait += polled.elapsed();
+                }
+            }
             match event {
                 SourceEventRef::Line(line) => {
                     self.stats.lines_read += 1;
-                    let pushed = now;
+                    let pushed = Instant::now();
                     let outcome = self.pipeline.push_line(line);
-                    now = Instant::now();
                     match outcome {
                         Ok(()) => {
-                            self.stats.blocked_in_push += now - pushed;
+                            self.stats.blocked_in_push += pushed.elapsed();
                             self.stats.entries_ingested += 1;
                             uncommitted += 1;
                             commit_due = uncommitted >= self.checkpoint_every;
@@ -527,7 +536,6 @@ impl IngestDriver {
                     handle_oversized(&mut self.policy, &mut self.stats, dropped_bytes)?;
                 }
                 SourceEventRef::Idle => {
-                    self.stats.source_wait += now - polled;
                     self.sample_backlog(tail);
                     // A quiet source is the cheapest moment to commit:
                     // nothing is waiting behind the drain barrier.
@@ -563,9 +571,6 @@ impl IngestDriver {
         // borrowed fast path land each polled line here instead of the
         // driver copying it onward.
         let mut scratch = String::new();
-        // The loop's latest clock reading: every turn's own timing reads
-        // refresh it, so the next turn's deadline check needs no other.
-        let mut now = Instant::now();
         loop {
             // `swap` consumes the request: a stop raised before this run
             // even started still ends it (never silently discarded), and
@@ -579,29 +584,37 @@ impl IngestDriver {
             if self.stats.lines_read.is_multiple_of(1024) {
                 self.sample_backlog(&*source);
             }
-            // Ticks the pipeline's flush clock: the source is waited on
-            // until the buffered entries' deadline, never longer than
-            // the configured tick. On a quiet source this is also what
-            // flushes the tail: the wait ends at the deadline, `Idle`
-            // comes back, and the next turn's tick submits them.
-            let wait = self.pipeline.park_for(now, self.tick);
-            let polled = Instant::now();
-            let event = source
-                .poll_ref(wait, &mut scratch)
+            // Group commit: a line already waiting is taken at once.
+            // Only when the source has nothing does the pipeline get
+            // what it buffered (`park_for` submits it), and only then
+            // does the driver wait on the source — for the configured
+            // tick, or less while chunks are in flight on the pool. A
+            // source that goes quiet so has its tail adjudicated before
+            // the driver's first wait, whatever `max_delay` says.
+            let mut event = source
+                .poll_ref(Duration::ZERO, &mut scratch)
                 .map_err(IngestError::Source)?;
-            now = Instant::now();
+            if matches!(event, SourceEventRef::Idle) {
+                let wait = self.pipeline.park_for(self.tick);
+                let polled = Instant::now();
+                event = source
+                    .poll_ref(wait, &mut scratch)
+                    .map_err(IngestError::Source)?;
+                if matches!(event, SourceEventRef::Idle) {
+                    self.stats.source_wait += polled.elapsed();
+                }
+            }
             match event {
                 SourceEventRef::Line(line) => {
                     self.stats.lines_read += 1;
-                    let pushed = now;
+                    let pushed = Instant::now();
                     // The borrowed line parses in place inside the
                     // pipeline's entry arena — no owned `LogEntry` is
                     // built on the ingest path.
                     let outcome = self.pipeline.push_line(line);
-                    now = Instant::now();
                     match outcome {
                         Ok(()) => {
-                            self.stats.blocked_in_push += now - pushed;
+                            self.stats.blocked_in_push += pushed.elapsed();
                             self.stats.entries_ingested += 1;
                         }
                         Err(err) => {
@@ -619,7 +632,6 @@ impl IngestDriver {
                     handle_oversized(&mut self.policy, &mut self.stats, dropped_bytes)?;
                 }
                 SourceEventRef::Idle => {
-                    self.stats.source_wait += now - polled;
                     self.sample_backlog(&*source);
                 }
                 SourceEventRef::Eof => return Ok(EndReason::SourceExhausted),

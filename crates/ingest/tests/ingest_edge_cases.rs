@@ -368,9 +368,9 @@ fn stop_handle_shuts_down_gracefully_and_drains_everything() {
 fn a_tail_that_goes_quiet_still_delivers_its_last_alerts() {
     // Ten requests from one flooding client, then silence: no EOF (the
     // tail follows), no stop, no drain, and nowhere near a full chunk.
-    // The driver's idle wait is the only clock there is, so it must tick
-    // the pipeline's flush deadline — the alerts reach the sink while
-    // the stream is still open.
+    // The driver running out of input is the only moment left, so it
+    // must submit then — the alerts reach the sink while the stream is
+    // still open.
     let path = temp_path("quiet-tail");
     let _cleanup = Cleanup(path.clone());
     std::fs::write(&path, String::new()).unwrap();
@@ -418,8 +418,64 @@ fn a_tail_that_goes_quiet_still_delivers_its_last_alerts() {
     assert_eq!(outcome.end, EndReason::Stopped);
     assert_eq!(outcome.stats.entries_ingested, 10);
     assert!(
-        outcome.pipeline.deadline_flushes >= 1,
-        "the deadline, not the drain, must have submitted the tail"
+        outcome.pipeline.idle_flushes >= 1,
+        "the idle driver, not the drain, must have submitted the tail"
+    );
+}
+
+#[test]
+fn a_fill_only_tail_that_goes_quiet_still_delivers_its_last_alerts() {
+    // As above, with no flush deadline at all: the ten alerts reach the
+    // sink only if the driver submits what it holds once the tail runs
+    // dry.
+    let path = temp_path("quiet-fill-only-tail");
+    let _cleanup = Cleanup(path.clone());
+    std::fs::write(&path, String::new()).unwrap();
+    let mut tail = FileTail::follow_from_start(&path).unwrap();
+
+    let (alert_tx, alert_rx) = std::sync::mpsc::channel::<u64>();
+    let pipeline = PipelineBuilder::new()
+        .detector(RateLimiter::new(5))
+        .max_delay(Duration::MAX)
+        .sink(move |alert: &Alert<'_>| {
+            let _ = alert_tx.send(alert.index);
+        })
+        .build()
+        .unwrap();
+    let mut driver = IngestDriver::new(pipeline);
+    let stop = driver.stop_handle();
+    let running = std::thread::spawn(move || driver.run(&mut tail).unwrap());
+
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    for i in 0..10 {
+        writeln!(
+            file,
+            "10.9.9.8 - - [11/Mar/2018:00:00:{i:02} +0000] \"GET /items/{i} HTTP/1.1\" 200 321 \"-\" \"curl/7.58.0\""
+        )
+        .unwrap();
+    }
+    file.flush().unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let index = alert_rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .expect("a fill-only quiet tail must still deliver its alerts within the second");
+        if index == 9 {
+            break;
+        }
+    }
+
+    stop.stop();
+    let outcome = running.join().unwrap();
+    assert_eq!(outcome.end, EndReason::Stopped);
+    assert_eq!(outcome.stats.entries_ingested, 10);
+    assert_eq!(
+        outcome.pipeline.deadline_flushes, 0,
+        "fill-only has no deadline"
     );
 }
 

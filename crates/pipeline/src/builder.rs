@@ -370,34 +370,38 @@ impl PipelineBuilder {
     /// Sets how many entries are buffered before a chunk is processed
     /// (default 4096). Any value produces identical verdicts; larger
     /// chunks amortize dispatch and sharding overhead better. A chunk
-    /// also ends early when its oldest entry reaches
+    /// also ends early when its driver runs out of input
+    /// ([`Pipeline::poll`]) or its oldest entry reaches
     /// [`max_delay`](Self::max_delay).
     pub fn chunk_capacity(mut self, capacity: usize) -> Self {
         self.chunk_capacity = capacity;
         self
     }
 
-    /// Bounds how long a pushed entry may sit in the ingest buffer
-    /// before it is submitted to the detectors (default
+    /// Bounds how long a pushed entry may sit in the ingest buffer of a
+    /// caller that **pushes and never parks** (default
     /// [`DEFAULT_MAX_DELAY`], 10 ms): the buffer is submitted when it
     /// reaches [`chunk_capacity`](Self::chunk_capacity) **or** when its
-    /// oldest entry is this old, whichever comes first. Chunk size so
-    /// adapts by itself, from a few entries at a trickle to the full
-    /// capacity at saturation, where chunks fill long before the
-    /// deadline and nothing changes.
+    /// oldest entry is this old, whichever comes first. The deadline is
+    /// checked inside the push calls only (the clock is read on a
+    /// chunk's 1st, 2nd, 4th, 8th and 16th push and every 32nd after,
+    /// never on every push).
     ///
-    /// The deadline is checked inside the push calls (the clock is read
-    /// on a chunk's 1st, 2nd, 4th, 8th and 16th push and every 32nd
-    /// after, never on every push) and by [`Pipeline::poll`], which a
-    /// driver that owns a wait — the service plane's shard drivers, the
-    /// ingest driver — calls so that a stream that goes *quiet* still
-    /// flushes its tail. A caller that pushes from its own loop and can
-    /// go quiet should do the same.
+    /// A driver that waits on its input does not need it: it calls
+    /// [`Pipeline::poll`] (through `park_for`) whenever the input runs
+    /// dry, which submits what is buffered there and then — group
+    /// commit. The service plane's shard drivers and the ingest driver
+    /// do, so for them chunk size adapts by itself, from a few entries
+    /// at a trickle to the full capacity at saturation, and alert
+    /// latency is the cost of the work; the deadline is met only if
+    /// the input never runs dry and never fills a chunk. A caller that
+    /// pushes from its own loop and can go quiet should poll the same
+    /// way.
     ///
     /// `Duration::MAX` is **fill-only** — the same code with a deadline
     /// that never comes: chunks end exactly at `chunk_capacity`,
-    /// [`Pipeline::flush`], `drain` and the `set_*` calls, so chunk
-    /// counts are a pure function of the calls made.
+    /// [`Pipeline::flush`], [`Pipeline::poll`], `drain` and the `set_*`
+    /// calls, so chunk counts are a pure function of the calls made.
     ///
     /// # What flush timing may and may not change
     ///
@@ -411,7 +415,8 @@ impl PipelineBuilder {
     ///
     /// * **Where a live learner's installs land.** Recalibrator and
     ///   threshold-controller updates take effect at chunk boundaries,
-    ///   so with a deadline the live schedule depends on arrival timing.
+    ///   so under a deadline or a parking driver the live schedule
+    ///   depends on arrival timing.
     ///   Every install is recorded with its
     ///   [`at_entry`](crate::AppliedRuleUpdate::at_entry) position, and
     ///   replaying the recorded schedule through

@@ -28,8 +28,8 @@
 //!   delivery and outcome accumulation all happen on the driver thread.
 //!   It collects without blocking at every submission, at the flush
 //!   policy's clock cadence inside the push calls and in
-//!   [`Pipeline::poll`], so a finished chunk does not wait for the next
-//!   one to fill.
+//!   [`Pipeline::poll`] (which a driver calls whenever its input runs
+//!   dry), so a finished chunk does not wait for the next one to fill.
 //!
 //! Chunks are client-sharded: every entry goes to the worker that owns
 //! its client (stable hash), each worker batches maximal runs of
@@ -48,11 +48,13 @@
 //! owned [`LogEntry`]'s canonical line into the same arena and parse it
 //! there, so the two can be mixed freely without forcing a chunk
 //! boundary. The whole arena ships to the pool when it reaches the chunk
-//! capacity or its oldest entry reaches the flush deadline (the policy
-//! lives in `flush.rs`), and workers run it through the detectors
-//! ([`Detector::observe_batch_refs`]) over [`EntryRef`] views, so the
-//! steady-state path from line bytes to verdict performs no per-entry
-//! heap allocation. An owned `LogEntry` exists only at finalization
+//! capacity, when the driver feeding it runs out of input
+//! ([`Pipeline::poll`]: group commit), or — for a caller that pushes
+//! and never parks — when its oldest entry reaches the flush deadline
+//! (the policy lives in `flush.rs`), and workers run it through the
+//! detectors ([`Detector::observe_batch_refs`]) over [`EntryRef`]
+//! views, so the steady-state path from line bytes to verdict performs
+//! no per-entry heap allocation. An owned `LogEntry` exists only at finalization
 //! (`finalize.rs`), for the positions a sink or label oracle actually
 //! consumes — one reused entry, re-assembled in place from the arena's
 //! metadata ([`EntryBlock::fill_entry`]), never a second parse of the
@@ -121,6 +123,7 @@ pub(crate) struct StatCounters {
     pub(crate) drift_alarms: u64,
     pub(crate) updates: RuntimeUpdates,
     deadline_flushes: u64,
+    idle_flushes: u64,
     max_buffered_age: Duration,
 }
 
@@ -171,18 +174,21 @@ pub struct AppliedRuleUpdate {
 /// for the model and a quickstart (the engine-module source documents the
 /// worker-pool execution model in full).
 ///
-/// Entries are buffered until the chunk capacity is reached **or** the
-/// oldest of them has waited
-/// [`max_delay`](crate::PipelineBuilder::max_delay) (10 ms by default),
-/// then the chunk is client-sharded across the persistent worker pool.
+/// Entries are buffered until the chunk capacity is reached, the driver
+/// runs out of input and says so through [`poll`](Self::poll) (group
+/// commit: whatever arrived while the last chunk ran is the next chunk),
+/// **or** — for a caller that pushes and never parks — the oldest of
+/// them has waited [`max_delay`](crate::PipelineBuilder::max_delay)
+/// (10 ms by default); then the chunk is client-sharded across the
+/// persistent worker pool.
 /// Finished chunks are finalized strictly in feed order on the driver
 /// thread: the adjudication rule combines the member verdicts, sinks
 /// fire for every adjudicated alert, and the per-entry outcomes
 /// accumulate until [`drain`](Self::drain) collects them. Chunk
 /// boundaries, push granularity and worker count never change any
 /// verdict; [`flush`](Self::flush) and [`poll`](Self::poll) are the two
-/// primitives for a caller that wants a boundary now, or owns the clock
-/// a quiet stream needs.
+/// primitives for a caller that wants a boundary now, or is about to
+/// park on empty input.
 ///
 /// # Backpressure
 ///
@@ -239,8 +245,9 @@ pub struct Pipeline {
     /// replayed entries that predate every recorded rule install.
     pub(crate) initial_rule: Rule,
     /// The one ingest buffer: the arena every push flavor appends to,
-    /// submitted as a chunk when it reaches the chunk capacity or its
-    /// oldest entry reaches the flush deadline.
+    /// submitted as a chunk when it reaches the chunk capacity, when the
+    /// driver goes idle ([`poll`](Self::poll)) or when its oldest entry
+    /// reaches the flush deadline.
     block: EntryBlock,
     /// The age of `block`'s oldest entry against
     /// [`max_delay`](crate::PipelineBuilder::max_delay).
@@ -673,6 +680,7 @@ impl Pipeline {
             triage_spilled_entries: triage.spilled,
             drift_alarms: self.stats.drift_alarms,
             deadline_flushes: self.stats.deadline_flushes,
+            idle_flushes: self.stats.idle_flushes,
             max_buffered_age_us: u64::try_from(self.stats.max_buffered_age.as_micros())
                 .unwrap_or(u64::MAX),
         }
@@ -900,18 +908,18 @@ impl Pipeline {
     }
 
     /// An explicit chunk boundary: submits whatever is buffered to the
-    /// detectors now — without waiting for the arena to fill or the
-    /// [`max_delay`](crate::PipelineBuilder::max_delay) deadline — and
-    /// finalizes every chunk that is ready (adjudication, sinks'
-    /// `on_alert`/`on_entry`). It does **not** wait for chunks still in
-    /// flight on the pool (a later [`poll`](Self::poll), push or
+    /// detectors now — without waiting for the arena to fill, the driver
+    /// to go idle or the [`max_delay`](crate::PipelineBuilder::max_delay)
+    /// deadline — and finalizes every chunk that is ready (adjudication,
+    /// sinks' `on_alert`/`on_entry`). It does **not** wait for chunks
+    /// still in flight on the pool (a later [`poll`](Self::poll), push or
     /// [`drain`](Self::drain) collects them) and never calls
     /// [`AlertSink::flush`]: durability stays `drain`'s barrier.
     ///
-    /// Every push flavor, the deadline, `drain`, `set_eviction` and
-    /// `set_adjudication` go through this one boundary. What a boundary
-    /// may and may not change is listed at
-    /// [`max_delay`](crate::PipelineBuilder::max_delay).
+    /// Every push flavor, the idle submit ([`poll`](Self::poll)), the
+    /// deadline, `drain`, `set_eviction` and `set_adjudication` go
+    /// through this one boundary. What a boundary may and may not change
+    /// is listed at [`max_delay`](crate::PipelineBuilder::max_delay).
     ///
     /// ```
     /// use divscrape_detect::Sentinel;
@@ -943,24 +951,23 @@ impl Pipeline {
         self.submit_block(Arc::new(block));
     }
 
-    /// The latency bound's clock tick, for callers that own a wait: a
-    /// thread that parks on its input calls this before parking and
-    /// parks no longer than the returned time (the service plane's
-    /// shard drivers and the ingest driver's source loop do, through
-    /// [`park_for`](Self::park_for)).
+    /// Group commit, for callers that own a wait: a driver calls this
+    /// when its input has run dry, just before it parks on that input
+    /// (the service plane's shard drivers and the ingest driver's source
+    /// loop do, through [`park_for`](Self::park_for)).
     ///
-    /// Submits the buffered entries if their oldest has waited
-    /// [`max_delay`](crate::PipelineBuilder::max_delay), collects and
+    /// Submits whatever the arena holds — the entries that arrived while
+    /// the previous chunk ran become the next chunk — collects and
     /// finalizes whatever the pool has finished, and returns how soon it
-    /// wants to be called again: the time left to the buffered entries'
-    /// deadline, a short collection interval while chunks are in flight
-    /// on the pool, `None` when nothing is buffered or in flight (park
-    /// as long as you like — the next push restarts the clock).
+    /// wants to be called again: a short collection interval while chunks
+    /// are in flight on the pool (their results come back over a channel
+    /// the caller's own wait cannot see), `None` otherwise (park as long
+    /// as you like — nothing is left behind).
     ///
-    /// Pushes check the deadline themselves (at an amortised cadence),
-    /// so a caller that pushes continuously needs no `poll`; it exists
-    /// for the stream that goes **quiet** with entries still buffered,
-    /// which no push will ever flush.
+    /// Latency at a trickle is then the cost of the work, not a policy:
+    /// an entry waits for the lines queued with it, never for a clock.
+    /// [`max_delay`](crate::PipelineBuilder::max_delay) still bounds a
+    /// caller that pushes and never parks; it plays no part here.
     ///
     /// ```
     /// use std::time::Duration;
@@ -980,32 +987,22 @@ impl Pipeline {
     ///     std::thread::sleep(wait);
     /// }
     /// assert_eq!(pipeline.stats().entries_processed, 1);
-    /// assert_eq!(pipeline.stats().deadline_flushes, 1);
+    /// assert!(pipeline.stats().idle_flushes >= 1);
     /// # Ok::<(), String>(())
     /// ```
     pub fn poll(&mut self) -> Option<Duration> {
-        self.poll_at(Instant::now())
-    }
-
-    /// [`poll`](Self::poll) as a driver's wait: how long to park on the
-    /// input — until `poll` wants calling again, never longer than the
-    /// driver's own `tick`. `now` is a clock reading the driver already
-    /// holds (it times its pushes), so a per-line loop reads no other.
-    pub fn park_for(&mut self, now: Instant, tick: Duration) -> Duration {
-        self.poll_at(now).map_or(tick, |due| due.min(tick))
-    }
-
-    fn poll_at(&mut self, now: Instant) -> Option<Duration> {
-        let mut deadline = self.flush_clock.remaining(now);
-        if deadline == Some(Duration::ZERO) {
-            self.flush_overdue();
-            deadline = None; // just submitted: nothing is buffered
-        } else {
-            self.collect_finished();
+        if !self.block.is_empty() {
+            self.stats.idle_flushes += 1;
         }
-        let collect = (!self.inflight.is_empty()).then_some(COLLECT_INTERVAL);
-        // Whichever of the two comes first, if either.
-        deadline.into_iter().chain(collect).min()
+        self.flush();
+        (!self.inflight.is_empty()).then_some(COLLECT_INTERVAL)
+    }
+
+    /// [`poll`](Self::poll) as a driver's wait: submits what is buffered
+    /// and returns how long to park on the input — the driver's own
+    /// `tick`, or less while chunks are in flight on the pool.
+    pub fn park_for(&mut self, tick: Duration) -> Duration {
+        self.poll().map_or(tick, |collect| collect.min(tick))
     }
 
     /// Hard cap on chunks in flight. Per-worker queues alone do not
@@ -1704,7 +1701,6 @@ mod tests {
             .build()
             .unwrap();
         pipeline.push_batch(head);
-        assert_eq!(pipeline.poll(), None, "fill-only: nothing is ever due");
         assert_eq!(pipeline.stats().entries_processed, 0);
         pipeline.flush();
         assert_eq!(pipeline.pending(), 0);
@@ -1719,6 +1715,10 @@ mod tests {
         assert_eq!(stats.entries_processed, 300);
         assert_eq!(stats.inflight_chunks, 0);
         assert_eq!(stats.deadline_flushes, 0);
+        assert_eq!(
+            stats.idle_flushes, 0,
+            "`flush` shipped it; `poll` found nothing"
+        );
         assert_eq!(count.load(std::sync::atomic::Ordering::Relaxed), expected);
     }
 

@@ -1,31 +1,41 @@
-//! The flush policy: how long a buffered entry may wait for company.
+//! The flush policy: when a buffered entry is handed to the detectors.
 //!
 //! The engine appends every pushed entry to one ingest arena and
-//! submits the arena as a chunk. *When* is decided here: when the arena
-//! fills (the engine sees that itself), **or** when the oldest entry in
-//! it has waited [`max_delay`](crate::PipelineBuilder::max_delay). Chunk
-//! size therefore adapts by itself — a few entries at a trickle, the
-//! full capacity at saturation, where a chunk fills long before its
-//! deadline and this module costs one test of the buffered count per
-//! push.
+//! submits the arena as a chunk. Three moments do it:
 //!
-//! Reading the clock on every push would cost more than parsing some
-//! lines, so the read is amortised: the 1st, 2nd, 4th, 8th and 16th push
-//! of a chunk (a trickle must not wait for 32 entries to notice its
-//! deadline) and every 32nd after — about 130 reads per 4,096-entry
-//! chunk, under a nanosecond per entry. The same cadence tells the
-//! engine when to collect finished pool results, so a `workers > 1`
-//! pipeline does not sit on a finished chunk until the next one fills.
+//! - the arena fills (the engine sees that itself);
+//! - the driver feeding it runs out of input and is about to park
+//!   ([`Pipeline::poll`](crate::Pipeline::poll), through `park_for`).
+//!   This is group commit: whatever arrived while the last chunk ran is
+//!   the next chunk, so chunk size adapts by itself — a few entries at a
+//!   trickle, the full capacity at saturation, where the input never
+//!   runs dry and chunks fill first;
+//! - the oldest entry has waited
+//!   [`max_delay`](crate::PipelineBuilder::max_delay). This deadline
+//!   bounds only callers that push and never park: a driver that parks
+//!   submits whenever its input runs dry, so it meets the deadline only
+//!   while its input never does and no chunk fills in time.
+//!
+//! This module owns the third. Reading the clock on every push would
+//! cost more than parsing some lines, so the read is amortised: the
+//! 1st, 2nd, 4th, 8th and 16th push of a chunk (a trickle must not wait
+//! for 32 entries to notice its deadline) and every 32nd after — about
+//! 130 reads per 4,096-entry chunk, under a nanosecond per entry. The
+//! same cadence tells the engine when to collect finished pool results,
+//! so a `workers > 1` pipeline does not sit on a finished chunk until
+//! the next one fills.
 //!
 //! The policy holds none of the engine's state: it is told about pushes
 //! and submissions and answers with what is owed.
 
 use std::time::{Duration, Instant};
 
-/// The default [`max_delay`](crate::PipelineBuilder::max_delay): an
-/// entry is submitted to the detectors at most this long after it was
-/// pushed (plus the time to the next clock read — at most 31 pushes, or
-/// the caller's next [`Pipeline::poll`](crate::Pipeline::poll)).
+/// The default [`max_delay`](crate::PipelineBuilder::max_delay): for a
+/// caller that pushes and never parks, an entry is submitted to the
+/// detectors at most this long after it was pushed (plus the time to
+/// the next clock read — at most 31 pushes). A driver that parks on its
+/// input submits sooner, whenever the input runs dry
+/// ([`Pipeline::poll`](crate::Pipeline::poll)).
 pub const DEFAULT_MAX_DELAY: Duration = Duration::from_millis(10);
 
 /// Pushes between clock reads once a chunk is past its first 32.
@@ -85,20 +95,6 @@ impl FlushClock {
         }
     }
 
-    /// Time left at `now` until the buffered entries come due: zero
-    /// when they already are, `None` while nothing is buffered — or
-    /// nothing ever comes due (an infinite deadline leaves no time a
-    /// caller could wait out).
-    pub(crate) fn remaining(&self, now: Instant) -> Option<Duration> {
-        if self.max_delay == Duration::MAX {
-            return None;
-        }
-        self.oldest.map(|oldest| {
-            self.max_delay
-                .saturating_sub(now.saturating_duration_since(oldest))
-        })
-    }
-
     /// The arena was submitted (or discarded): returns how long its
     /// oldest entry had waited.
     pub(crate) fn clear(&mut self) -> Duration {
@@ -124,15 +120,9 @@ mod tests {
     #[test]
     fn an_infinite_deadline_never_comes_due() {
         let mut clock = FlushClock::new(Duration::MAX);
-        assert_eq!(clock.remaining(Instant::now()), None, "nothing buffered");
         for buffered in 1..=4_096 {
             assert_ne!(clock.pushed(buffered), Cadence::Due);
         }
-        assert_eq!(
-            clock.remaining(Instant::now()),
-            None,
-            "buffered, but never due"
-        );
         // The age is tracked all the same: fill-only is where it grows.
         std::thread::sleep(Duration::from_millis(1));
         assert!(clock.clear() >= Duration::from_millis(1));
@@ -142,14 +132,11 @@ mod tests {
     fn the_deadline_counts_from_the_oldest_push() {
         let mut clock = FlushClock::new(Duration::from_millis(2));
         assert_eq!(clock.pushed(1), Cadence::Tick);
-        assert!(clock.remaining(Instant::now()).unwrap() <= Duration::from_millis(2));
         std::thread::sleep(Duration::from_millis(3));
-        assert_eq!(clock.remaining(Instant::now()), Some(Duration::ZERO));
         assert_eq!(clock.pushed(2), Cadence::Due);
         // Still due until the engine says it submitted.
-        assert_eq!(clock.remaining(Instant::now()), Some(Duration::ZERO));
+        assert_eq!(clock.pushed(4), Cadence::Due);
         assert!(clock.clear() >= Duration::from_millis(3));
-        assert_eq!(clock.remaining(Instant::now()), None);
         assert_eq!(clock.clear(), Duration::ZERO, "nothing was buffered");
     }
 

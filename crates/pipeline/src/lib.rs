@@ -18,12 +18,15 @@
 //!   [`push_line`](Pipeline::push_line) a raw log line — buffers it into
 //!   one chunk arena, and runs each chunk through every detector's
 //!   batched fast path ([`Detector::observe_batch_refs`]). A chunk ends
-//!   when the arena is full **or** its oldest entry has waited
-//!   [`max_delay`](PipelineBuilder::max_delay) (10 ms by default), so
-//!   alert latency is bounded by a deadline, not by how long a chunk
-//!   takes to fill; [`flush`](Pipeline::flush) and
+//!   when the arena is full, when the driver feeding it runs out of
+//!   input and calls [`poll`](Pipeline::poll) before it parks (group
+//!   commit: what arrived while the last chunk ran is the next chunk),
+//!   or — bounding only a caller that pushes and never parks — when its
+//!   oldest entry has waited [`max_delay`](PipelineBuilder::max_delay)
+//!   (10 ms by default). Alert latency is so the cost of the work, not
+//!   how long a chunk takes to fill; [`flush`](Pipeline::flush) and
 //!   [`poll`](Pipeline::poll) are the two primitives for callers that
-//!   want a boundary now, or own the clock a quiet stream needs.
+//!   want a boundary now, or are about to wait on empty input.
 //! * With [`workers(n)`](PipelineBuilder::workers), the pipeline runs a
 //!   **persistent worker pool**: `n` long-lived threads, each owning its
 //!   own replica of every detector for the pipeline's lifetime. Chunks

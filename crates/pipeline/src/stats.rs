@@ -45,8 +45,10 @@ impl RuntimeUpdates {
 ///   high-water mark. Together with
 ///   [`entries_pending`](Self::entries_pending) (buffered + in-flight
 ///   entries) they bound the pipeline's working memory.
-/// * **Buffering latency** — [`deadline_flushes`](Self::deadline_flushes)
-///   counts the chunks the flush deadline ended early, and
+/// * **Buffering latency** — [`idle_flushes`](Self::idle_flushes)
+///   counts the chunks submitted because their driver ran out of input,
+///   [`deadline_flushes`](Self::deadline_flushes) the chunks the flush
+///   deadline ended early, and
 ///   [`max_buffered_age_us`](Self::max_buffered_age_us) is the longest
 ///   any entry waited in the ingest buffer before its chunk was
 ///   submitted.
@@ -153,16 +155,24 @@ pub struct PipelineStats {
     pub drift_alarms: u64,
     /// Chunks submitted because their oldest entry had waited
     /// [`max_delay`](crate::PipelineBuilder::max_delay) — not because
-    /// the buffer filled or a caller asked (`flush`, `drain`, `set_*`).
-    /// Next to [`chunks_processed`](Self::chunks_processed) it says
-    /// which regime the pipeline runs in: near zero at saturation, near
-    /// every chunk at a trickle.
+    /// the buffer filled, the driver went idle or a caller asked
+    /// (`flush`, `drain`, `set_*`). The deadline bounds callers that
+    /// push and never park; a driver that parks submits whenever its
+    /// input runs dry (see [`idle_flushes`](Self::idle_flushes)) and
+    /// meets the deadline only while its input never does.
     pub deadline_flushes: u64,
+    /// Chunks submitted by [`Pipeline::poll`](crate::Pipeline::poll) —
+    /// a driver about to park on empty input handing over what it held
+    /// (group commit). Next to [`chunks_processed`](Self::chunks_processed)
+    /// it says which regime a driven pipeline runs in: near zero at
+    /// saturation, where chunks fill before the input runs dry, near
+    /// every chunk at a trickle.
+    pub idle_flushes: u64,
     /// High-water age, in microseconds, of a chunk's oldest entry at
     /// the moment the chunk was submitted — how long buffering has made
-    /// an entry wait at worst. Stays near `max_delay` while something
-    /// checks the deadline (pushes, or a driver calling
-    /// [`Pipeline::poll`](crate::Pipeline::poll)); a value far above it
-    /// means a stream went quiet with nobody polling.
+    /// an entry wait at worst. Under a parking driver it is about the
+    /// time one chunk takes, under a caller that only pushes it stays
+    /// near `max_delay`; a value far above both means a stream went
+    /// quiet with nobody polling.
     pub max_buffered_age_us: u64,
 }

@@ -109,6 +109,7 @@ struct Departed {
     triage_spilled: u64,
     drift_alarms: u64,
     deadline_flushes: u64,
+    idle_flushes: u64,
     /// A high-water mark, so departed shards fold in by `max`.
     max_buffered_age_us: u64,
 }
@@ -128,6 +129,7 @@ impl Departed {
         self.triage_spilled += stats.triage_spilled_entries;
         self.drift_alarms += stats.drift_alarms;
         self.deadline_flushes += stats.deadline_flushes;
+        self.idle_flushes += stats.idle_flushes;
         self.max_buffered_age_us = self.max_buffered_age_us.max(stats.max_buffered_age_us);
     }
 }
@@ -918,6 +920,7 @@ impl ServicePlane {
             triage_spilled_entries: departed.triage_spilled + live(&|s| s.triage_spilled_entries),
             drift_alarms: departed.drift_alarms + live(&|s| s.drift_alarms),
             deadline_flushes: departed.deadline_flushes + live(&|s| s.deadline_flushes),
+            idle_flushes: departed.idle_flushes + live(&|s| s.idle_flushes),
             max_buffered_age_us: tenants
                 .iter()
                 .flat_map(|t| t.shards.iter())
@@ -1169,6 +1172,10 @@ pub struct ServiceStats {
     /// monotonic. See
     /// [`PipelineStats::deadline_flushes`](divscrape_pipeline::PipelineStats::deadline_flushes).
     pub deadline_flushes: u64,
+    /// Chunks a shard driver handed its pipeline because its queue ran
+    /// dry (group commit), departed tenants included — monotonic. See
+    /// [`PipelineStats::idle_flushes`](divscrape_pipeline::PipelineStats::idle_flushes).
+    pub idle_flushes: u64,
     /// The longest any entry waited in a shard pipeline's ingest buffer
     /// before its chunk was submitted, in microseconds — the maximum
     /// over every shard, departed tenants included, so it never falls.
@@ -1224,7 +1231,8 @@ impl ServiceStats {
             out,
             ",\"runtime_updates\":{{\"eviction\":{},\"adjudication\":{}}},\
              \"triage\":{{\"escalations\":{},\"suppressed\":{},\"replayed\":{},\"spilled\":{}}},\
-             \"drift_alarms\":{},\"deadline_flushes\":{},\"max_buffered_age_us\":{},\"tenants\":[",
+             \"drift_alarms\":{},\"idle_flushes\":{},\"deadline_flushes\":{},\"max_buffered_age_us\":{},\
+             \"tenants\":[",
             self.runtime_updates.eviction,
             self.runtime_updates.adjudication,
             self.triage_escalations,
@@ -1232,6 +1240,7 @@ impl ServiceStats {
             self.triage_replayed_entries,
             self.triage_spilled_entries,
             self.drift_alarms,
+            self.idle_flushes,
             self.deadline_flushes,
             self.max_buffered_age_us,
         );

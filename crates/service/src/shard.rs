@@ -11,15 +11,19 @@ use std::ops::Range;
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use divscrape_pipeline::{Pipeline, PipelineReport, PipelineStats};
 
 /// The longest a shard driver parks waiting for input before ticking
-/// (publishing stats). It parks for less while its pipeline holds
-/// entries that are coming due ([`Pipeline::park_for`]) — which is what
-/// delivers a tenant's last lines when its traffic stops: no later line
-/// will push them out.
+/// (publishing stats). Before it parks it hands its pipeline whatever
+/// it pushed ([`Pipeline::park_for`]: group commit), so a tenant's
+/// lines are adjudicated as soon as its queue runs dry — which is also
+/// what delivers a tenant's last lines when its traffic stops.
+/// [`max_delay`](divscrape_pipeline::PipelineBuilder::max_delay) only
+/// bounds callers that push and never park; here it matters only while
+/// the queue never runs dry. The driver parks for less than the tick
+/// while chunks are in flight on the pipeline's pool.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Lines between stats publications while input is flowing.
@@ -230,9 +234,19 @@ impl ShardQueue {
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .0;
             state.driver_parked = false;
-            if state.batch.staged.is_empty() {
-                return false;
-            }
+        }
+        self.swap_out(state, spare)
+    }
+
+    /// [`take`](Self::take) without parking: `false` at once if nothing
+    /// is staged.
+    fn try_take(&self, spare: &mut Batch) -> bool {
+        self.swap_out(self.lock(), spare)
+    }
+
+    fn swap_out(&self, mut state: MutexGuard<'_, QueueState>, spare: &mut Batch) -> bool {
+        if state.batch.staged.is_empty() {
+            return false;
         }
         std::mem::swap(&mut state.batch, spare);
         let wake = state.producers_parked > 0;
@@ -402,13 +416,16 @@ fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<Sh
     let mut batch = Batch::default();
     let mut parse_errors = 0u64;
     let mut since_publish = 0u64;
-    let mut park = TICK;
     loop {
-        if !queue.take(&mut batch, park) {
-            park = pipeline.park_for(Instant::now(), TICK);
-            publish(&pipeline, parse_errors, &board);
-            since_publish = 0;
-            continue;
+        // Group commit: only when nothing is staged does the pipeline
+        // get what it holds, and the driver parks after that.
+        if !queue.try_take(&mut batch) {
+            let park = pipeline.park_for(TICK);
+            if !queue.take(&mut batch, park) {
+                publish(&pipeline, parse_errors, &board);
+                since_publish = 0;
+                continue;
+            }
         }
         let Batch { text, staged } = &mut batch;
         for message in staged.drain(..) {
@@ -447,7 +464,6 @@ fn run_shard(mut pipeline: Pipeline, queue: Arc<ShardQueue>, board: Arc<Mutex<Sh
             }
         }
         batch.recycle();
-        park = pipeline.park_for(Instant::now(), TICK);
         if since_publish >= PUBLISH_EVERY {
             publish(&pipeline, parse_errors, &board);
             since_publish = 0;

@@ -5,7 +5,9 @@
 //! while the queue is full, per-producer order under contention, stale
 //! handles that report the tenant gone, a clean exit when the plane
 //! is simply dropped — and, since the driver parks on this queue, that a
-//! tenant whose traffic stops still has its last lines adjudicated.
+//! tenant whose traffic stops still has its last lines adjudicated: the
+//! driver hands its pipeline what it holds whenever the queue runs dry
+//! (group commit), with or without a flush deadline.
 //!
 //! Every interleaving is forced with a gate, a barrier or a blocking
 //! call; nothing here sleeps.
@@ -13,10 +15,17 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 
-use divscrape_detect::{Detector, TenantId, Verdict};
+use std::time::Duration;
+
+use divscrape_detect::baselines::RateLimiter;
+use divscrape_detect::{Arcane, Detector, Sentinel, TenantId, Verdict};
 use divscrape_httplog::EntryRef;
-use divscrape_pipeline::{Adjudication, Alert, AlertSink, CollectingSink, PipelineBuilder};
-use divscrape_service::{IngestOutcome, ServicePlane};
+use divscrape_pipeline::{
+    Adjudication, Alert, AlertSink, CollectingSink, PipelineBuilder, PipelineReport, RecordPolicy,
+    ScoredEntry,
+};
+use divscrape_service::{shard_of, IngestOutcome, ServicePlane};
+use divscrape_traffic::{generate, ScenarioConfig};
 
 const DEPTH: usize = 8;
 
@@ -252,9 +261,8 @@ fn a_stale_ingress_reports_the_tenant_gone() {
 #[test]
 fn a_tenant_that_goes_quiet_still_gets_its_alerts() {
     // Ten lines, then nothing: no drain, no leave, no further traffic to
-    // push them out, and nowhere near a full chunk. The driver's park on
-    // the queue is the only clock, so it must tick the pipeline's flush
-    // deadline.
+    // push them out, and nowhere near a full chunk. The driver running
+    // out of input is the only moment left, so it must submit then.
     let shop = TenantId::new("shop");
     let (alert_tx, alert_rx) = std::sync::mpsc::channel::<u64>();
     let alert_tx = Mutex::new(alert_tx);
@@ -279,12 +287,176 @@ fn a_tenant_that_goes_quiet_still_gets_its_alerts() {
         .collect();
     assert_eq!(delivered, (0..10).collect::<Vec<_>>());
 
-    // The deadline submitted them, and the count survives the tenant.
+    // The idle driver submitted them, and the count survives the tenant.
     let reports = plane.leave(&shop).unwrap();
     assert_eq!(reports[0].requests(), 10);
     let stats = plane.stats();
-    assert!(stats.deadline_flushes >= 1);
+    assert!(stats.idle_flushes >= 1);
     assert!(stats.max_buffered_age_us > 0);
+}
+
+#[test]
+fn a_fill_only_tenant_that_goes_quiet_still_gets_its_alerts() {
+    // As above, with no flush deadline at all: the ten lines reach the
+    // sink only if the driver submits them when its queue runs dry.
+    let shop = TenantId::new("shop");
+    let (alert_tx, alert_rx) = std::sync::mpsc::channel::<u64>();
+    let alert_tx = Mutex::new(alert_tx);
+    let plane = ServicePlane::builder()
+        .tenant(shop.clone(), 1, move |_, _| {
+            let alert_tx = alert_tx.lock().unwrap().clone();
+            alert_on_all()
+                .max_delay(Duration::MAX)
+                .sink(move |alert: &Alert<'_>| {
+                    let _ = alert_tx.send(alert.index);
+                })
+        })
+        .build()
+        .unwrap();
+    for seq in 0..10 {
+        assert_eq!(plane.ingest(&shop, line(0, seq)), IngestOutcome::Routed);
+    }
+    let delivered: Vec<u64> = (0..10)
+        .map(|_| {
+            alert_rx
+                .recv_timeout(Duration::from_secs(1))
+                .expect("a fill-only tenant's alerts must arrive within the second")
+        })
+        .collect();
+    assert_eq!(delivered, (0..10).collect::<Vec<_>>());
+    let reports = plane.leave(&shop).unwrap();
+    assert_eq!(reports[0].requests(), 10);
+    assert_eq!(
+        plane.stats().deadline_flushes,
+        0,
+        "fill-only has no deadline"
+    );
+}
+
+/// Counts every finalized entry it is shown, across shards, and lets a
+/// producer wait for a count.
+#[derive(Clone, Default)]
+struct SeenSink {
+    seen: Arc<(Mutex<u64>, Condvar)>,
+}
+
+impl SeenSink {
+    /// Blocks until `total` entries were finalized; panics after ten
+    /// seconds, which only a driver that never submits can take.
+    fn wait_for(&self, total: u64) {
+        let (lock, cvar) = &*self.seen;
+        let seen = *cvar
+            .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(10), |seen| {
+                *seen < total
+            })
+            .unwrap()
+            .0;
+        assert!(
+            seen >= total,
+            "only {seen} of {total} entries finalized: a burst was left in the arena"
+        );
+    }
+}
+
+impl AlertSink for SeenSink {
+    fn on_alert(&mut self, _alert: &Alert<'_>) {}
+
+    fn on_entry(&mut self, _record: &ScoredEntry<'_>) {
+        let (lock, cvar) = &*self.seen;
+        *lock.lock().unwrap() += 1;
+        cvar.notify_all();
+    }
+
+    fn entry_policy(&self) -> RecordPolicy {
+        RecordPolicy::AllEntries
+    }
+}
+
+fn three_tools() -> PipelineBuilder {
+    PipelineBuilder::new()
+        .detector(Sentinel::stock())
+        .detector(RateLimiter::new(40))
+        .detector(Arcane::stock())
+        .adjudication(Adjudication::k_of_n(1))
+        .chunk_capacity(113)
+        .workers(2)
+        .max_delay(Duration::MAX)
+}
+
+fn assert_identical(case: &str, got: &PipelineReport, want: &PipelineReport) {
+    assert_eq!(
+        got.combined.to_bools(),
+        want.combined.to_bools(),
+        "{case}: combined alerts diverged from the fill-only pipeline"
+    );
+    assert_eq!(got.members.len(), want.members.len(), "{case}");
+    for (g, w) in got.members.iter().zip(&want.members) {
+        assert_eq!(g.name(), w.name(), "{case}");
+        assert_eq!(
+            g.to_bools(),
+            w.to_bools(),
+            "{case}: member {} diverged from the fill-only pipeline",
+            g.name()
+        );
+    }
+}
+
+#[test]
+fn bursts_gated_on_delivery_equal_a_fill_only_pipeline() {
+    // The plane's version of a random flush schedule: the producer sends
+    // a seeded random-size burst, then stops until the sink has seen
+    // every entry of it, so each burst is adjudicated only because the
+    // driver ran dry — the tenants have no deadline. Chunk boundaries so
+    // fall wherever the bursts end, and the drained report must still
+    // equal a standalone fill-only pipeline's over the same shard.
+    let log = generate(&ScenarioConfig::tiny(84)).unwrap();
+    let lines: Vec<String> = log.entries().iter().map(|e| e.to_string()).collect();
+    for (shards, seed) in [
+        (1usize, 0x9e37_79b9_7f4a_7c15u64),
+        (3, 0xd1b5_4a32_d192_ed03),
+    ] {
+        let shop = TenantId::new("shop");
+        let seen = SeenSink::default();
+        let sink = seen.clone();
+        let plane = ServicePlane::builder()
+            .tenant(shop.clone(), shards, move |_, _| {
+                three_tools().sink(sink.clone())
+            })
+            .build()
+            .unwrap();
+        let mut state = seed;
+        let mut sent = 0usize;
+        let mut bursts = 0;
+        while sent < lines.len() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let burst = (state % 120 + 1) as usize;
+            let end = (sent + burst).min(lines.len());
+            for line in &lines[sent..end] {
+                assert_eq!(plane.ingest(&shop, line.clone()), IngestOutcome::Routed);
+            }
+            sent = end;
+            bursts += 1;
+            seen.wait_for(sent as u64);
+        }
+        assert!(bursts > 10, "the schedule must cut many bursts");
+
+        let reports = plane.drain(&shop).unwrap();
+        assert_eq!(
+            plane.stats().deadline_flushes,
+            0,
+            "fill-only has no deadline"
+        );
+        for (k, got) in reports.iter().enumerate() {
+            let mut alone = three_tools().build().unwrap();
+            for line in lines.iter().filter(|line| shard_of(line, shards) == k) {
+                alone.push_line(line).unwrap();
+            }
+            assert_identical(&format!("shards={shards} shard={k}"), got, &alone.drain());
+        }
+        plane.shutdown();
+    }
 }
 
 /// Counts what it is shown and records being flushed and dropped.

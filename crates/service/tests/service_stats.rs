@@ -62,6 +62,12 @@ fn assert_monotonic(earlier: &ServiceStats, later: &ServiceStats, step: &str) {
         "{step}: triage_spilled_entries regressed"
     );
     assert!(
+        later.idle_flushes >= earlier.idle_flushes,
+        "{step}: idle_flushes regressed {} -> {}",
+        earlier.idle_flushes,
+        later.idle_flushes
+    );
+    assert!(
         later.deadline_flushes >= earlier.deadline_flushes,
         "{step}: deadline_flushes regressed {} -> {}",
         earlier.deadline_flushes,
@@ -148,6 +154,10 @@ fn aggregates_stay_monotonic_across_shard_merge_and_tenant_departure() {
         shards().map(|s| s.deadline_flushes).sum::<u64>()
     );
     assert_eq!(
+        s1.idle_flushes,
+        shards().map(|s| s.idle_flushes).sum::<u64>()
+    );
+    assert_eq!(
         s1.max_buffered_age_us,
         shards().map(|s| s.max_buffered_age_us).max().unwrap()
     );
@@ -216,4 +226,5 @@ fn aggregates_stay_monotonic_across_shard_merge_and_tenant_departure() {
         "\"deadline_flushes\":{},\"max_buffered_age_us\":{}",
         s4.deadline_flushes, s4.max_buffered_age_us
     )));
+    assert!(json.contains(&format!("\"idle_flushes\":{},", s4.idle_flushes)));
 }
